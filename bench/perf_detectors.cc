@@ -37,7 +37,7 @@ void BM_FullEstimation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * tuples);
   state.counters["source_tuples"] = static_cast<double>(tuples);
 }
-BENCHMARK(BM_FullEstimation)->Arg(500)->Arg(2000)->Arg(8000)
+BENCHMARK(BM_FullEstimation)->Arg(500)->Arg(2000)->Arg(8000)->Arg(32000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ComplexityAssessmentOnly(benchmark::State& state) {

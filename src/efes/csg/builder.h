@@ -37,10 +37,12 @@ struct Csg {
 /// Builds the CSG of the database's schema only (no instance elements).
 CsgGraph BuildCsgGraph(const Database& database);
 
-/// Builds graph and instance. Table-node elements are abstract tuple ids;
-/// attribute-node elements are the distinct attribute values; links
-/// connect tuples with their values and equal FK/parent values with each
-/// other.
+/// Builds graph and instance. Table-node elements are the row indices;
+/// attribute-node elements are the distinct non-null attribute values,
+/// dictionary-encoded per column; links connect tuples with their values
+/// and equal FK/parent values with each other. The instance refers to
+/// the database's columns, so `database` must outlive the result. Emits
+/// the `csg.build.*` metrics.
 Csg BuildCsg(const Database& database);
 
 }  // namespace efes

@@ -1,8 +1,10 @@
 #include "efes/csg/graph.h"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
-#include <unordered_set>
+
+#include "efes/common/metrics.h"
 
 namespace efes {
 
@@ -103,133 +105,195 @@ std::string CsgGraph::ToText() const {
   return oss.str();
 }
 
-CsgInstance::CsgInstance(size_t node_count, size_t relationship_count)
-    : elements_(node_count),
-      element_order_(node_count),
-      links_(relationship_count) {}
+namespace {
 
-void CsgInstance::AddElement(NodeId node, const Value& element) {
-  auto [it, inserted] = elements_[node].emplace(element, true);
-  if (inserted) element_order_[node].push_back(element);
+using Code = CsgInstance::Code;
+
+/// The degree interval of a degree vector; 0..0 when it is empty.
+Cardinality DegreeRange(const std::vector<Code>& degrees) {
+  if (degrees.empty()) return Cardinality::Exactly(0);
+  auto [lo, hi] = std::minmax_element(degrees.begin(), degrees.end());
+  return Cardinality::Between(*lo, *hi);
 }
 
-void CsgInstance::AddLink(const CsgGraph& graph, RelationshipId forward_id,
-                          const Value& from_element,
-                          const Value& to_element) {
-  const CsgRelationship& rel = graph.relationship(forward_id);
-  links_[forward_id][from_element].push_back(to_element);
-  links_[rel.inverse][to_element].push_back(from_element);
-}
-
-size_t CsgInstance::LinkCount(RelationshipId rel) const {
-  size_t count = 0;
-  for (const auto& [element, targets] : links_[rel]) {
-    count += targets.size();
+size_t CountOutside(const std::vector<Code>& degrees,
+                    const Cardinality& prescribed) {
+  size_t outside = 0;
+  for (Code degree : degrees) {
+    if (!prescribed.Contains(degree)) ++outside;
   }
-  return count;
+  return outside;
 }
 
-std::unordered_map<Value, size_t, ValueHash> CsgInstance::OutDegrees(
-    const CsgGraph& graph, RelationshipId rel) const {
-  std::unordered_map<Value, size_t, ValueHash> degrees;
-  NodeId from = graph.relationship(rel).from;
-  const auto& adjacency = links_[rel];
-  for (const Value& element : element_order_[from]) {
-    auto it = adjacency.find(element);
-    degrees[element] = it == adjacency.end() ? 0 : it->second.size();
+/// Walks one path breadth-first from one start element at a time. Every
+/// hop deduplicates its frontier with its own epoch-stamped visited
+/// array, sized to the hop's end node once and reused by every walk: the
+/// composition of relations relates an element to the *set* of
+/// reachable end elements.
+class PathWalker {
+ public:
+  PathWalker(const std::vector<const CsgInstance::Adjacency*>& hops,
+             const std::vector<size_t>& hop_end_counts)
+      : hops_(hops), visited_(hops.size()) {
+    for (size_t h = 0; h < hops.size(); ++h) {
+      visited_[h].assign(hop_end_counts[h], 0);
+    }
+  }
+
+  /// The distinct end elements reachable from `start` (unordered); valid
+  /// until the next call. At most 2^32 - 1 walks per walker.
+  const std::vector<Code>& Walk(Code start) {
+    ++epoch_;
+    frontier_.assign(1, start);
+    for (size_t h = 0; h < hops_.size() && !frontier_.empty(); ++h) {
+      const CsgInstance::Adjacency& hop = *hops_[h];
+      std::vector<uint32_t>& visited = visited_[h];
+      next_.clear();
+      for (Code element : frontier_) {
+        for (Code i = hop.offsets[element]; i < hop.offsets[element + 1];
+             ++i) {
+          Code target = hop.targets[i];
+          if (visited[target] == epoch_) continue;
+          visited[target] = epoch_;
+          next_.push_back(target);
+        }
+      }
+      frontier_.swap(next_);
+    }
+    return frontier_;
+  }
+
+ private:
+  std::vector<const CsgInstance::Adjacency*> hops_;
+  std::vector<std::vector<uint32_t>> visited_;
+  uint32_t epoch_ = 0;
+  std::vector<Code> frontier_;
+  std::vector<Code> next_;
+};
+
+}  // namespace
+
+CsgInstance::CsgInstance(const CsgGraph& graph,
+                         std::vector<NodeElements> nodes,
+                         std::vector<Adjacency> links)
+    : nodes_(std::move(nodes)), links_(std::move(links)) {
+  nodes_.resize(graph.nodes().size());
+  links_.resize(graph.relationships().size());
+  for (const CsgRelationship& rel : graph.relationships()) {
+    Adjacency& adjacency = links_[rel.id];
+    if (adjacency.offsets.empty()) {
+      adjacency.offsets.assign(nodes_[rel.from].count + size_t{1}, 0);
+    }
+    assert(adjacency.offsets.size() == nodes_[rel.from].count + size_t{1});
+    assert(adjacency.offsets.back() == adjacency.targets.size());
+  }
+}
+
+Value CsgInstance::ElementValue(NodeId node, Code element) const {
+  const NodeElements& elements = nodes_[node];
+  if (elements.column == nullptr) {
+    return Value::Integer(static_cast<int64_t>(element));
+  }
+  return (*elements.column)[elements.first_rows[element]];
+}
+
+std::vector<Code> CsgInstance::OutDegrees(const CsgGraph& graph,
+                                          RelationshipId rel) const {
+  (void)graph;
+  const std::vector<Code>& offsets = links_[rel].offsets;
+  std::vector<Code> degrees(offsets.size() - 1);
+  for (size_t e = 0; e < degrees.size(); ++e) {
+    degrees[e] = offsets[e + 1] - offsets[e];
   }
   return degrees;
 }
 
 Cardinality CsgInstance::ActualCardinality(const CsgGraph& graph,
                                            RelationshipId rel) const {
-  auto degrees = OutDegrees(graph, rel);
-  if (degrees.empty()) return Cardinality::Exactly(0);
-  uint64_t lo = Cardinality::kUnbounded;
-  uint64_t hi = 0;
-  for (const auto& [element, degree] : degrees) {
-    lo = std::min<uint64_t>(lo, degree);
-    hi = std::max<uint64_t>(hi, degree);
-  }
-  return Cardinality::Between(lo, hi);
+  return DegreeRange(OutDegrees(graph, rel));
 }
 
 size_t CsgInstance::CountViolations(const CsgGraph& graph,
                                     RelationshipId rel,
                                     const Cardinality& prescribed) const {
-  size_t violations = 0;
-  for (const auto& [element, degree] : OutDegrees(graph, rel)) {
-    if (!prescribed.Contains(degree)) ++violations;
-  }
-  return violations;
+  return CountOutside(OutDegrees(graph, rel), prescribed);
 }
 
-std::unordered_map<Value, size_t, ValueHash> CsgInstance::PathOutDegrees(
+std::vector<Code> CsgInstance::PathOutDegrees(
     const CsgGraph& graph, const std::vector<RelationshipId>& path) const {
-  std::unordered_map<Value, size_t, ValueHash> degrees;
-  if (path.empty()) return degrees;
+  if (path.empty()) return {};
+  std::vector<const Adjacency*> hops;
+  std::vector<size_t> hop_end_counts;
+  for (RelationshipId rel : path) {
+    hops.push_back(&links_[rel]);
+    hop_end_counts.push_back(nodes_[graph.relationship(rel).to].count);
+  }
+  PathWalker walker(hops, hop_end_counts);
   NodeId start = graph.relationship(path.front()).from;
-  for (const Value& element : element_order_[start]) {
-    // Walk the path breadth-first, deduplicating at every hop: the
-    // composition of relations relates an element to the *set* of
-    // reachable end elements.
-    std::unordered_set<Value, ValueHash> frontier = {element};
-    for (RelationshipId rel : path) {
-      std::unordered_set<Value, ValueHash> next;
-      for (const Value& v : frontier) {
-        auto it = links_[rel].find(v);
-        if (it == links_[rel].end()) continue;
-        next.insert(it->second.begin(), it->second.end());
-      }
-      frontier = std::move(next);
-      if (frontier.empty()) break;
-    }
-    degrees[element] = frontier.size();
+  std::vector<Code> degrees(nodes_[start].count);
+  for (size_t e = 0; e < degrees.size(); ++e) {
+    degrees[e] = static_cast<Code>(walker.Walk(static_cast<Code>(e)).size());
   }
   return degrees;
 }
 
 std::vector<Value> CsgInstance::ReachableViaPath(
     const CsgGraph& graph, const std::vector<RelationshipId>& path,
-    const Value& start) const {
-  (void)graph;
-  std::unordered_set<Value, ValueHash> frontier = {start};
+    Code start) const {
+  if (path.empty()) return {Value::Integer(static_cast<int64_t>(start))};
+  if (start >= nodes_[graph.relationship(path.front()).from].count) return {};
+  // One walk: a visited array per hop would cost the size of every hop's
+  // end node, so the frontier deduplicates by sorting instead.
+  std::vector<Code> frontier = {start};
+  std::vector<Code> next;
   for (RelationshipId rel : path) {
-    std::unordered_set<Value, ValueHash> next;
-    for (const Value& v : frontier) {
-      auto it = links_[rel].find(v);
-      if (it == links_[rel].end()) continue;
-      next.insert(it->second.begin(), it->second.end());
+    const Adjacency& hop = links_[rel];
+    next.clear();
+    for (Code element : frontier) {
+      next.insert(next.end(), hop.targets.begin() + hop.offsets[element],
+                  hop.targets.begin() + hop.offsets[element + 1]);
     }
-    frontier = std::move(next);
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    frontier.swap(next);
     if (frontier.empty()) break;
   }
-  std::vector<Value> result(frontier.begin(), frontier.end());
+  NodeId end = graph.relationship(path.back()).to;
+  std::vector<Value> result;
+  result.reserve(frontier.size());
+  for (Code element : frontier) result.push_back(ElementValue(end, element));
   std::sort(result.begin(), result.end());
   return result;
 }
 
 Cardinality CsgInstance::ActualPathCardinality(
     const CsgGraph& graph, const std::vector<RelationshipId>& path) const {
-  auto degrees = PathOutDegrees(graph, path);
-  if (degrees.empty()) return Cardinality::Exactly(0);
-  uint64_t lo = Cardinality::kUnbounded;
-  uint64_t hi = 0;
-  for (const auto& [element, degree] : degrees) {
-    lo = std::min<uint64_t>(lo, degree);
-    hi = std::max<uint64_t>(hi, degree);
+  return DegreeRange(PathOutDegrees(graph, path));
+}
+
+CsgInstance::Defects CsgInstance::CountPathDefects(
+    const CsgGraph& graph, const std::vector<RelationshipId>& path,
+    const Cardinality& prescribed) const {
+  static Counter& violations =
+      MetricsRegistry::Global().GetCounter("csg.path.violations");
+  Defects defects;
+  for (Code degree : PathOutDegrees(graph, path)) {
+    if (prescribed.Contains(degree)) continue;
+    if (degree < prescribed.min()) {
+      ++defects.too_few;
+    } else {
+      ++defects.too_many;
+    }
   }
-  return Cardinality::Between(lo, hi);
+  violations.Increment(defects.too_few + defects.too_many);
+  return defects;
 }
 
 size_t CsgInstance::CountPathViolations(
     const CsgGraph& graph, const std::vector<RelationshipId>& path,
     const Cardinality& prescribed) const {
-  size_t violations = 0;
-  for (const auto& [element, degree] : PathOutDegrees(graph, path)) {
-    if (!prescribed.Contains(degree)) ++violations;
-  }
-  return violations;
+  Defects defects = CountPathDefects(graph, path, prescribed);
+  return defects.too_few + defects.too_many;
 }
 
 }  // namespace efes

@@ -16,9 +16,9 @@
 #define EFES_CSG_GRAPH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "efes/common/result.h"
@@ -120,38 +120,67 @@ class CsgGraph {
   std::vector<std::vector<RelationshipId>> adjacency_;
 };
 
-/// A CSG instance (Definition 2): elements per node, links per directed
-/// relationship. Instances are stored separately from the graph and are
-/// keyed purely by ids, so a graph can have many instances (the structure
-/// repair planner simulates on "virtual" copies).
+/// A CSG instance (Definition 2), dictionary-encoded: the elements of a
+/// node are the dense codes 0..count-1 and every directed relationship
+/// is a CSR adjacency over those codes. Instances are stored separately
+/// from the graph and are keyed purely by ids, so a graph can have many
+/// instances.
+///
+/// Table-node elements are the implicit row indices of their relation.
+/// Attribute-node element k is the k-th distinct non-null value of the
+/// node's column in first-occurrence order, kept by reference as the row
+/// it first occurs in: an instance must not outlive the column storage
+/// it was built from.
 class CsgInstance {
  public:
-  explicit CsgInstance(size_t node_count, size_t relationship_count);
+  using Code = uint32_t;
 
-  /// Registers an element of `node`. Duplicate registrations are ignored
-  /// (node elements are sets).
-  void AddElement(NodeId node, const Value& element);
+  /// The elements of one node.
+  struct NodeElements {
+    Code count = 0;
+    /// The column holding attribute values; null for table nodes, whose
+    /// elements decode to their row index as Value::Integer.
+    const std::vector<Value>* column = nullptr;
+    /// Attribute nodes: the row of each element's first occurrence.
+    std::vector<Code> first_rows;
+  };
 
-  /// Adds the link (from_element, to_element) to the forward relationship
-  /// `forward_id` and its mirror to the inverse relationship. The caller
-  /// must pass the id of the forward half created by AddRelationshipPair
-  /// together with the owning graph.
-  void AddLink(const CsgGraph& graph, RelationshipId forward_id,
-               const Value& from_element, const Value& to_element);
+  /// One directed relationship: the links leaving `from`-element e point
+  /// at the `to`-elements targets[offsets[e]] .. targets[offsets[e+1]-1].
+  /// Default-constructed adjacencies stand for "no links".
+  struct Adjacency {
+    std::vector<Code> offsets;
+    std::vector<Code> targets;
+  };
 
-  size_t ElementCount(NodeId node) const {
-    return elements_[node].size();
+  /// Path degrees split by the side of a prescribed interval they miss.
+  struct Defects {
+    size_t too_few = 0;
+    size_t too_many = 0;
+  };
+
+  /// Takes one NodeElements per node of `graph` and one Adjacency per
+  /// directed relationship: `links[r]` holds the links of relationship r
+  /// (with `offsets` sized to its from node's count + 1), and the two
+  /// halves of a pair mirror each other. Missing entries mean no
+  /// elements or no links.
+  CsgInstance(const CsgGraph& graph, std::vector<NodeElements> nodes,
+              std::vector<Adjacency> links);
+
+  size_t ElementCount(NodeId node) const { return nodes_[node].count; }
+  size_t LinkCount(RelationshipId rel) const {
+    return links_[rel].targets.size();
   }
-  const std::vector<Value>& ElementsOf(NodeId node) const {
-    return element_order_[node];
-  }
-  size_t LinkCount(RelationshipId rel) const;
+
+  /// The value an element code stands for.
+  Value ElementValue(NodeId node, Code element) const;
 
   /// Number of links leaving each element of the relationship's `from`
-  /// node; elements without links appear with degree 0 (this is what
-  /// makes missing mandatory links — NOT NULL violations — observable).
-  std::unordered_map<Value, size_t, ValueHash> OutDegrees(
-      const CsgGraph& graph, RelationshipId rel) const;
+  /// node, indexed by element code; elements without links have degree
+  /// 0 (this is what makes missing mandatory links — NOT NULL
+  /// violations — observable).
+  std::vector<Code> OutDegrees(const CsgGraph& graph,
+                               RelationshipId rel) const;
 
   /// The tightest interval containing every element's out-degree; 0..0
   /// for relationships whose from node has no elements.
@@ -164,32 +193,33 @@ class CsgInstance {
                          const Cardinality& prescribed) const;
 
   /// Composition over a path of directed relationships: for each element
-  /// of the path's start node, the number of *distinct* reachable
-  /// elements of the end node.
-  std::unordered_map<Value, size_t, ValueHash> PathOutDegrees(
+  /// of the path's start node (by code), the number of *distinct*
+  /// reachable elements of the end node. Empty for an empty path.
+  std::vector<Code> PathOutDegrees(
       const CsgGraph& graph, const std::vector<RelationshipId>& path) const;
 
-  /// The distinct end-node elements reachable from `start` along `path`
-  /// (deterministically sorted). Empty path yields {start}.
+  /// The values of the distinct end-node elements reachable from element
+  /// `start` of the path's start node, sorted. An empty path yields the
+  /// start element's tuple id, Value::Integer(start).
   std::vector<Value> ReachableViaPath(
       const CsgGraph& graph, const std::vector<RelationshipId>& path,
-      const Value& start) const;
+      Code start) const;
 
   Cardinality ActualPathCardinality(
       const CsgGraph& graph, const std::vector<RelationshipId>& path) const;
+
+  /// Start elements whose path degree falls below / above `prescribed`.
+  Defects CountPathDefects(const CsgGraph& graph,
+                           const std::vector<RelationshipId>& path,
+                           const Cardinality& prescribed) const;
 
   size_t CountPathViolations(const CsgGraph& graph,
                              const std::vector<RelationshipId>& path,
                              const Cardinality& prescribed) const;
 
  private:
-  // Per node: element set (for dedup) plus insertion order (for
-  // deterministic iteration).
-  std::vector<std::unordered_map<Value, bool, ValueHash>> elements_;
-  std::vector<std::vector<Value>> element_order_;
-  // Per directed relationship: adjacency from element to linked elements.
-  std::vector<std::unordered_map<Value, std::vector<Value>, ValueHash>>
-      links_;
+  std::vector<NodeElements> nodes_;
+  std::vector<Adjacency> links_;
 };
 
 }  // namespace efes

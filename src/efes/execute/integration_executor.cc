@@ -346,7 +346,8 @@ Result<Database> IntegrationExecutor::Execute(
               break;
             case AttributeFeed::Kind::kPath: {
               std::vector<Value> reachable = csg.instance.ReachableViaPath(
-                  csg.graph, feeds[a].path, tuple_element);
+                  csg.graph, feeds[a].path,
+                  static_cast<CsgInstance::Code>(row));
               for (const Value& v : reachable) pulled[a].insert(v);
               if (reachable.empty()) break;
               if (reachable.size() == 1) {

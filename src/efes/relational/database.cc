@@ -1,7 +1,5 @@
 #include "efes/relational/database.h"
 
-#include <map>
-#include <set>
 #include <sstream>
 #include <unordered_set>
 
@@ -113,23 +111,8 @@ std::vector<ConstraintViolation> Database::FindConstraintViolations() const {
         // dependent projection violate the FD. NULL determinants exempt.
         std::vector<size_t> dependent_columns =
             ResolveColumns(child.def(), c.referenced_attributes);
-        std::map<std::string, std::set<std::string>> dependents_of;
-        std::map<std::string, size_t> group_sizes;
-        std::string lhs_key;
-        std::string rhs_key;
-        for (size_t r = 0; r < child.row_count(); ++r) {
-          if (!ProjectKey(child, r, columns, &lhs_key)) continue;
-          rhs_key.clear();
-          for (size_t col : dependent_columns) {
-            rhs_key += child.at(r, col).ToString();
-            rhs_key += '\x1f';
-          }
-          dependents_of[lhs_key].insert(rhs_key);
-          ++group_sizes[lhs_key];
-        }
-        for (const auto& [key, dependents] : dependents_of) {
-          if (dependents.size() > 1) violating += group_sizes[key];
-        }
+        violating = child.CountFunctionalDependencyViolations(
+            columns, dependent_columns);
         break;
       }
       case ConstraintKind::kForeignKey: {

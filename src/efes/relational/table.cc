@@ -1,6 +1,5 @@
 #include "efes/relational/table.h"
 
-#include <map>
 #include <sstream>
 #include <unordered_set>
 
@@ -117,35 +116,80 @@ std::unordered_map<Value, size_t, ValueHash> Table::ValueFrequencies(
   return frequencies;
 }
 
+namespace {
+
+/// Hash and equality of rows by their projection onto some columns,
+/// under Value equality: rows group exactly when every projected pair of
+/// values is operator==, so 3 and 3.0 group while 0.3 and 0.1 + 0.2 do
+/// not, and no rendering of the values can make two groups collide.
+struct Projection {
+  const std::vector<std::vector<Value>>* data;
+  const std::vector<size_t>* columns;
+
+  size_t operator()(size_t row) const {
+    size_t hash = 0;
+    for (size_t c : *columns) {
+      hash = hash * 1000003 ^ (*data)[c][row].Hash();
+    }
+    return hash;
+  }
+  bool operator()(size_t a, size_t b) const {
+    for (size_t c : *columns) {
+      if ((*data)[c][a] != (*data)[c][b]) return false;
+    }
+    return true;
+  }
+  bool HasNull(size_t row) const {
+    for (size_t c : *columns) {
+      if ((*data)[c][row].is_null()) return true;
+    }
+    return false;
+  }
+};
+
+/// Rows keyed by a representative row of their projection group.
+template <typename Group>
+using ProjectionGroups =
+    std::unordered_map<size_t, Group, Projection, Projection>;
+
+}  // namespace
+
 size_t Table::CountDuplicateProjections(
     const std::vector<size_t>& columns) const {
-  // Serialize each projection into a string key. Values render
-  // unambiguously enough for grouping because we separate with '\x1f'
-  // and values never contain that byte in our generators; a length-prefix
-  // guards against adversarial text.
-  std::map<std::string, size_t> groups;
+  Projection key{&columns_, &columns};
+  ProjectionGroups<size_t> groups(row_count_, key, key);
   for (size_t r = 0; r < row_count_; ++r) {
-    bool has_null = false;
-    std::string key;
-    for (size_t c : columns) {
-      const Value& value = columns_[c][r];
-      if (value.is_null()) {
-        has_null = true;
-        break;
-      }
-      std::string repr = value.ToString();
-      key += std::to_string(repr.size());
-      key += ':';
-      key += repr;
-      key += '\x1f';
-    }
-    if (!has_null) ++groups[key];
+    if (!key.HasNull(r)) ++groups[r];
   }
   size_t duplicates = 0;
-  for (const auto& [key, count] : groups) {
+  for (const auto& [row, count] : groups) {
     if (count > 1) duplicates += count;  // all members of the group violate
   }
   return duplicates;
+}
+
+size_t Table::CountFunctionalDependencyViolations(
+    const std::vector<size_t>& determinant,
+    const std::vector<size_t>& dependent) const {
+  struct Group {
+    size_t first_row;
+    size_t rows = 0;
+    bool split = false;  // a second distinct dependent projection seen
+  };
+  Projection lhs{&columns_, &determinant};
+  Projection rhs{&columns_, &dependent};
+  ProjectionGroups<Group> groups(row_count_, lhs, lhs);
+  for (size_t r = 0; r < row_count_; ++r) {
+    if (lhs.HasNull(r)) continue;
+    Group& group = groups.try_emplace(r, Group{r}).first->second;
+    ++group.rows;
+    if (!group.split && !rhs(group.first_row, r)) group.split = true;
+  }
+  size_t violating = 0;
+  for (const auto& [row, group] : groups) {
+    if (group.split) violating += group.rows;
+  }
+  return violating;
 }
 
 bool Table::IsUnique(const std::vector<size_t>& columns) const {

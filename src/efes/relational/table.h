@@ -82,6 +82,15 @@ class Table {
   /// violations under SQL semantics.
   size_t CountDuplicateProjections(const std::vector<size_t>& columns) const;
 
+  /// Number of rows in determinant groups (rows with equal projections
+  /// onto `determinant`, rows with a NULL there exempt) that carry more
+  /// than one distinct projection onto `dependent` — the violations of
+  /// the functional dependency determinant -> dependent. Projections
+  /// compare under Value equality, NULL equal to NULL.
+  size_t CountFunctionalDependencyViolations(
+      const std::vector<size_t>& determinant,
+      const std::vector<size_t>& dependent) const;
+
   /// True when the projection onto `columns` is duplicate-free (NULL rows
   /// exempt).
   bool IsUnique(const std::vector<size_t>& columns) const;

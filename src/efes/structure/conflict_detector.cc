@@ -4,8 +4,9 @@
 #include <unordered_map>
 #include <unordered_set>
 #include <optional>
-#include <set>
 #include <sstream>
+
+#include "efes/telemetry/trace.h"
 
 namespace efes {
 
@@ -257,30 +258,8 @@ void DetectFunctionalDependencyConflicts(
     if (!resolvable) continue;
 
     // Count determinant groups with more than one dependent projection.
-    std::map<std::string, std::set<std::string>> dependents_of;
-    std::map<std::string, size_t> group_sizes;
-    for (size_t r = 0; r < table.row_count(); ++r) {
-      std::string lhs_key;
-      bool lhs_null = false;
-      for (size_t c : lhs_columns) {
-        const Value& value = table.at(r, c);
-        if (value.is_null()) { lhs_null = true; break; }
-        lhs_key += value.ToString();
-        lhs_key += '\x1f';
-      }
-      if (lhs_null) continue;
-      std::string rhs_key;
-      for (size_t c : rhs_columns) {
-        rhs_key += table.at(r, c).ToString();
-        rhs_key += '\x1f';
-      }
-      dependents_of[lhs_key].insert(rhs_key);
-      ++group_sizes[lhs_key];
-    }
-    size_t violating = 0;
-    for (const auto& [key, dependents] : dependents_of) {
-      if (dependents.size() > 1) violating += group_sizes[key];
-    }
+    size_t violating =
+        table.CountFunctionalDependencyViolations(lhs_columns, rhs_columns);
     if (violating == 0) continue;
 
     std::optional<RelationshipId> anchor = FindAttributeToTable(
@@ -444,7 +423,10 @@ Result<std::vector<SourceStructureAssessment>> DetectStructureConflicts(
 
   std::vector<SourceStructureAssessment> assessments;
   for (const SourceBinding& source : scenario.sources) {
-    Csg source_csg = BuildCsg(source.database);
+    Csg source_csg = [&] {
+      TraceSpan span("structure.csg_build");
+      return BuildCsg(source.database);
+    }();
     std::map<NodeId, NodeId> node_mapping = BuildNodeMapping(
         target_graph, source_csg.graph, source.correspondences);
 
@@ -497,20 +479,15 @@ Result<std::vector<SourceStructureAssessment>> DetectStructureConflicts(
       }
 
       // Count actually conflicting elements, split by defect side.
-      size_t too_few = 0;
-      size_t too_many = 0;
-      for (const auto& [element, degree] : source_csg.instance.PathOutDegrees(
-               source_csg.graph, best->path)) {
-        if (rel.prescribed.Contains(degree)) continue;
-        if (degree < rel.prescribed.min()) {
-          ++too_few;
-        } else {
-          ++too_many;
-        }
+      CsgInstance::Defects defects;
+      {
+        TraceSpan span("structure.path_count");
+        defects = source_csg.instance.CountPathDefects(
+            source_csg.graph, best->path, rel.prescribed);
       }
       std::string path_desc = DescribePath(source_csg.graph, best->path);
-      emit(/*excess=*/false, best->inferred, path_desc, too_few);
-      emit(/*excess=*/true, best->inferred, path_desc, too_many);
+      emit(/*excess=*/false, best->inferred, path_desc, defects.too_few);
+      emit(/*excess=*/true, best->inferred, path_desc, defects.too_many);
     }
 
     if (options.detect_composite_keys) {

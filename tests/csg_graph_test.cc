@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "efes/csg/builder.h"
+
 namespace efes {
 namespace {
 
@@ -78,59 +84,114 @@ TEST(CsgGraphTest, DescribeAndToText) {
   EXPECT_NE(text.find("(attr)  records.artist : text"), std::string::npos);
 }
 
+using Code = CsgInstance::Code;
+
+/// One hand-made link of a forward relationship, by element codes.
+struct Link {
+  RelationshipId forward;
+  Code from;
+  Code to;
+};
+
+/// Assembles an instance from element counts per node and links of
+/// forward relationships, mirrored onto their inverses: the CSR layout
+/// BuildCsg produces, for instances no relational database yields (a
+/// tuple with two values of one attribute).
+CsgInstance MakeInstance(const CsgGraph& graph,
+                         const std::vector<Code>& counts,
+                         const std::vector<Link>& links) {
+  std::vector<CsgInstance::NodeElements> nodes(graph.nodes().size());
+  for (size_t n = 0; n < counts.size(); ++n) nodes[n].count = counts[n];
+  std::vector<std::vector<std::pair<Code, Code>>> pairs(
+      graph.relationships().size());
+  for (const Link& link : links) {
+    pairs[link.forward].push_back({link.from, link.to});
+    pairs[graph.relationship(link.forward).inverse].push_back(
+        {link.to, link.from});
+  }
+  std::vector<CsgInstance::Adjacency> adjacency(graph.relationships().size());
+  for (const CsgRelationship& rel : graph.relationships()) {
+    std::vector<std::pair<Code, Code>>& list = pairs[rel.id];
+    std::stable_sort(list.begin(), list.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    CsgInstance::Adjacency& csr = adjacency[rel.id];
+    csr.offsets.assign(nodes[rel.from].count + size_t{1}, 0);
+    for (const auto& [from, to] : list) {
+      ++csr.offsets[from + 1];
+      csr.targets.push_back(to);
+    }
+    for (size_t e = 0; e + 1 < csr.offsets.size(); ++e) {
+      csr.offsets[e + 1] += csr.offsets[e];
+    }
+  }
+  return CsgInstance(graph, std::move(nodes), std::move(adjacency));
+}
+
+/// A one-column `records(artist)` database holding `artists`.
+Database ArtistDatabase(const std::vector<Value>& artists) {
+  Schema schema("db");
+  (void)schema.AddRelation(
+      RelationDef("records", {{"artist", DataType::kText}}));
+  auto db = Database::Create(std::move(schema));
+  EXPECT_TRUE(db.ok());
+  Table* records = *db->mutable_table("records");
+  for (const Value& artist : artists) {
+    EXPECT_TRUE(records->AppendRow({artist}).ok());
+  }
+  return std::move(*db);
+}
+
 TEST(CsgInstanceTest, ElementsDeduplicate) {
-  TinyCsg csg;
-  CsgInstance instance(csg.graph.nodes().size(),
-                       csg.graph.relationships().size());
-  instance.AddElement(csg.attribute, Value::Text("x"));
-  instance.AddElement(csg.attribute, Value::Text("x"));
-  instance.AddElement(csg.attribute, Value::Text("y"));
-  EXPECT_EQ(instance.ElementCount(csg.attribute), 2u);
+  Database db = ArtistDatabase(
+      {Value::Text("x"), Value::Text("x"), Value::Text("y")});
+  Csg csg = BuildCsg(db);
+  NodeId attribute = *csg.graph.FindAttributeNode("records", "artist");
+  EXPECT_EQ(csg.instance.ElementCount(attribute), 2u);
+  // Codes follow first occurrence and decode back to the values.
+  EXPECT_EQ(csg.instance.ElementValue(attribute, 0), Value::Text("x"));
+  EXPECT_EQ(csg.instance.ElementValue(attribute, 1), Value::Text("y"));
+  NodeId table = *csg.graph.FindTableNode("records");
+  EXPECT_EQ(csg.instance.ElementValue(table, 2), Value::Integer(2));
 }
 
 TEST(CsgInstanceTest, LinksMirrorOnInverse) {
-  TinyCsg csg;
-  CsgInstance instance(csg.graph.nodes().size(),
-                       csg.graph.relationships().size());
-  Value tuple = Value::Integer(0);
-  Value value = Value::Text("x");
-  instance.AddElement(csg.table, tuple);
-  instance.AddElement(csg.attribute, value);
-  instance.AddLink(csg.graph, csg.forward, tuple, value);
-  EXPECT_EQ(instance.LinkCount(csg.forward), 1u);
-  RelationshipId inverse = csg.graph.relationship(csg.forward).inverse;
-  EXPECT_EQ(instance.LinkCount(inverse), 1u);
+  Database db = ArtistDatabase({Value::Text("x")});
+  Csg csg = BuildCsg(db);
+  NodeId table = *csg.graph.FindTableNode("records");
+  RelationshipId forward = csg.graph.OutgoingOf(table)[0];
+  EXPECT_EQ(csg.instance.LinkCount(forward), 1u);
+  RelationshipId inverse = csg.graph.relationship(forward).inverse;
+  EXPECT_EQ(csg.instance.LinkCount(inverse), 1u);
 }
 
 TEST(CsgInstanceTest, OutDegreesIncludeZeroDegreeElements) {
   TinyCsg csg;
-  CsgInstance instance(csg.graph.nodes().size(),
-                       csg.graph.relationships().size());
-  instance.AddElement(csg.table, Value::Integer(0));
-  instance.AddElement(csg.table, Value::Integer(1));
-  instance.AddElement(csg.attribute, Value::Text("x"));
-  instance.AddLink(csg.graph, csg.forward, Value::Integer(0),
-                   Value::Text("x"));
-  auto degrees = instance.OutDegrees(csg.graph, csg.forward);
-  EXPECT_EQ(degrees[Value::Integer(0)], 1u);
-  EXPECT_EQ(degrees[Value::Integer(1)], 0u);  // tuple without value
+  CsgInstance instance =
+      MakeInstance(csg.graph, {2, 1}, {{csg.forward, 0, 0}});
+  std::vector<Code> degrees = instance.OutDegrees(csg.graph, csg.forward);
+  ASSERT_EQ(degrees.size(), 2u);
+  EXPECT_EQ(degrees[0], 1u);
+  EXPECT_EQ(degrees[1], 0u);  // tuple without value
+}
+
+TEST(CsgInstanceTest, NullCellsAreZeroDegreeTuples) {
+  Database db = ArtistDatabase({Value::Text("x"), Value::Null()});
+  Csg csg = BuildCsg(db);
+  NodeId table = *csg.graph.FindTableNode("records");
+  std::vector<Code> degrees =
+      csg.instance.OutDegrees(csg.graph, csg.graph.OutgoingOf(table)[0]);
+  EXPECT_EQ(degrees, (std::vector<Code>{1, 0}));
 }
 
 TEST(CsgInstanceTest, ActualCardinalityAndViolations) {
   TinyCsg csg;
-  CsgInstance instance(csg.graph.nodes().size(),
-                       csg.graph.relationships().size());
-  // Tuple 0 has two artist values, tuple 1 has one, tuple 2 none.
-  for (int t = 0; t < 3; ++t) {
-    instance.AddElement(csg.table, Value::Integer(t));
-  }
-  for (const char* name : {"a", "b"}) {
-    instance.AddElement(csg.attribute, Value::Text(name));
-    instance.AddLink(csg.graph, csg.forward, Value::Integer(0),
-                     Value::Text(name));
-  }
-  instance.AddLink(csg.graph, csg.forward, Value::Integer(1),
-                   Value::Text("a"));
+  // Tuple 0 has two artist values ("a" = 0, "b" = 1), tuple 1 has one,
+  // tuple 2 none.
+  CsgInstance instance = MakeInstance(
+      csg.graph, {3, 2},
+      {{csg.forward, 0, 0}, {csg.forward, 0, 1}, {csg.forward, 1, 0}});
 
   EXPECT_EQ(instance.ActualCardinality(csg.graph, csg.forward),
             Cardinality::Between(0, 2));
@@ -146,8 +207,7 @@ TEST(CsgInstanceTest, ActualCardinalityAndViolations) {
 
 TEST(CsgInstanceTest, EmptyNodeActualCardinalityIsZero) {
   TinyCsg csg;
-  CsgInstance instance(csg.graph.nodes().size(),
-                       csg.graph.relationships().size());
+  CsgInstance instance = MakeInstance(csg.graph, {}, {});
   EXPECT_EQ(instance.ActualCardinality(csg.graph, csg.forward),
             Cardinality::Exactly(0));
 }
@@ -173,41 +233,39 @@ struct ChainCsg {
 
 TEST(CsgInstanceTest, PathOutDegreesDeduplicateTargets) {
   ChainCsg csg;
-  CsgInstance instance(csg.graph.nodes().size(),
-                       csg.graph.relationships().size());
-  instance.AddElement(csg.a, Value::Integer(0));
-  instance.AddElement(csg.b, Value::Text("b1"));
-  instance.AddElement(csg.b, Value::Text("b2"));
-  instance.AddElement(csg.c, Value::Text("c1"));
-  // Tuple 0 reaches c1 via both b1 and b2: degree must still be 1.
-  instance.AddLink(csg.graph, csg.ab, Value::Integer(0), Value::Text("b1"));
-  instance.AddLink(csg.graph, csg.ab, Value::Integer(0), Value::Text("b2"));
-  instance.AddLink(csg.graph, csg.bc, Value::Text("b1"), Value::Text("c1"));
-  instance.AddLink(csg.graph, csg.bc, Value::Text("b2"), Value::Text("c1"));
+  // Elements: a = {0}, b = {b1 = 0, b2 = 1}, c = {c1 = 0}. Tuple 0
+  // reaches c1 via both b1 and b2: its degree must still be 1.
+  CsgInstance instance = MakeInstance(
+      csg.graph, {1, 2, 1},
+      {{csg.ab, 0, 0}, {csg.ab, 0, 1}, {csg.bc, 0, 0}, {csg.bc, 1, 0}});
 
-  auto degrees = instance.PathOutDegrees(csg.graph, {csg.ab, csg.bc});
-  EXPECT_EQ(degrees[Value::Integer(0)], 1u);
+  std::vector<Code> degrees =
+      instance.PathOutDegrees(csg.graph, {csg.ab, csg.bc});
+  ASSERT_EQ(degrees.size(), 1u);
+  EXPECT_EQ(degrees[0], 1u);
   EXPECT_EQ(instance.ActualPathCardinality(csg.graph, {csg.ab, csg.bc}),
             Cardinality::Exactly(1));
   EXPECT_EQ(instance.CountPathViolations(csg.graph, {csg.ab, csg.bc},
                                          Cardinality::Exactly(1)),
             0u);
+  EXPECT_EQ(instance.ReachableViaPath(csg.graph, {csg.ab, csg.bc}, 0),
+            (std::vector<Value>{Value::Integer(0)}));
 }
 
 TEST(CsgInstanceTest, PathViolationsCountBrokenChains) {
   ChainCsg csg;
-  CsgInstance instance(csg.graph.nodes().size(),
-                       csg.graph.relationships().size());
-  instance.AddElement(csg.a, Value::Integer(0));
-  instance.AddElement(csg.a, Value::Integer(1));
-  instance.AddElement(csg.b, Value::Text("b1"));
-  instance.AddElement(csg.c, Value::Text("c1"));
-  instance.AddLink(csg.graph, csg.ab, Value::Integer(0), Value::Text("b1"));
-  instance.AddLink(csg.graph, csg.bc, Value::Text("b1"), Value::Text("c1"));
+  CsgInstance instance = MakeInstance(csg.graph, {2, 1, 1},
+                                      {{csg.ab, 0, 0}, {csg.bc, 0, 0}});
   // Tuple 1 has no b link at all -> path degree 0.
   EXPECT_EQ(instance.CountPathViolations(csg.graph, {csg.ab, csg.bc},
                                          Cardinality::Exactly(1)),
             1u);
+  CsgInstance::Defects defects = instance.CountPathDefects(
+      csg.graph, {csg.ab, csg.bc}, Cardinality::Exactly(1));
+  EXPECT_EQ(defects.too_few, 1u);
+  EXPECT_EQ(defects.too_many, 0u);
+  EXPECT_TRUE(instance.ReachableViaPath(csg.graph, {csg.ab, csg.bc}, 1)
+                  .empty());
 }
 
 }  // namespace

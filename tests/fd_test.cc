@@ -69,6 +69,44 @@ TEST(FdInstanceTest, ViolationCounting) {
   EXPECT_EQ(violations[0].violating_rows, 3u);
 }
 
+/// A relation r(a, b, c, d) with FD (a, b) -> (c, d) whose text values
+/// contain the unit separator '\x1f', so that concatenating renderings
+/// with that separator confuses ("x\x1f", "y") with ("x", "\x1fy").
+Database MakeSeparatorDatabase(
+    const std::vector<std::vector<std::string>>& rows) {
+  Schema schema("db");
+  (void)schema.AddRelation(RelationDef("r", {{"a", DataType::kText},
+                                             {"b", DataType::kText},
+                                             {"c", DataType::kText},
+                                             {"d", DataType::kText}}));
+  schema.AddConstraint(
+      Constraint::FunctionalDependency("r", {"a", "b"}, {"c", "d"}));
+  auto db = Database::Create(std::move(schema));
+  Table* table = *db->mutable_table("r");
+  for (const std::vector<std::string>& row : rows) {
+    std::vector<Value> values;
+    for (const std::string& cell : row) values.push_back(Value::Text(cell));
+    EXPECT_TRUE(table->AppendRow(std::move(values)).ok());
+  }
+  return std::move(*db);
+}
+
+TEST(FdInstanceTest, DeterminantsContainingSeparatorStayDistinct) {
+  // Two different determinants, each with one dependent: no violation.
+  Database db = MakeSeparatorDatabase(
+      {{"x\x1f", "y", "1", "1"}, {"x", "\x1fy", "2", "2"}});
+  EXPECT_TRUE(db.FindConstraintViolations().empty());
+}
+
+TEST(FdInstanceTest, DependentsContainingSeparatorStayDistinct) {
+  // One determinant with two different dependents: both rows violate.
+  Database db = MakeSeparatorDatabase(
+      {{"k", "k", "p\x1f", "q"}, {"k", "k", "p", "\x1fq"}});
+  auto violations = db.FindConstraintViolations();
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].violating_rows, 2u);
+}
+
 TEST(FdDdlTest, RoundTrip) {
   auto schema = ParseSchemaText(R"(
 CREATE TABLE cities (
@@ -226,6 +264,38 @@ TEST(FdDetectorTest, SourceFdShortCircuits) {
     ASSERT_TRUE(destination->AppendRow(contacts->Row(r)).ok());
   }
   scenario.sources[0].database = std::move(*rebuilt);
+
+  CsgGraph graph;
+  auto assessments = DetectStructureConflicts(scenario, &graph);
+  ASSERT_TRUE(assessments.ok());
+  for (const StructureConflict& conflict : (*assessments)[0].conflicts) {
+    EXPECT_EQ(conflict.target_constraint.find("FUNCTIONAL DEPENDENCY"),
+              std::string::npos);
+  }
+}
+
+TEST(FdDetectorTest, DeterminantsContainingSeparatorStayDistinct) {
+  // Target FD (a, b) -> (c, d) fed one-to-one from a source without it:
+  // the two source determinants differ, so there is nothing to detect.
+  Database source = MakeSeparatorDatabase(
+      {{"x\x1f", "y", "1", "1"}, {"x", "\x1fy", "2", "2"}});
+  Schema source_schema("s");
+  (void)source_schema.AddRelation(**source.schema().relation("r"));
+  auto unconstrained = Database::Create(std::move(source_schema));
+  ASSERT_TRUE(unconstrained.ok());
+  const Table* rows = *source.table("r");
+  Table* destination = *unconstrained->mutable_table("r");
+  for (size_t r = 0; r < rows->row_count(); ++r) {
+    ASSERT_TRUE(destination->AppendRow(rows->Row(r)).ok());
+  }
+  CorrespondenceSet correspondences;
+  correspondences.AddRelation("r", "r");
+  for (const char* attribute : {"a", "b", "c", "d"}) {
+    correspondences.AddAttribute("r", attribute, "r", attribute);
+  }
+  IntegrationScenario scenario(
+      "separator", MakeSeparatorDatabase({}));
+  scenario.AddSource(std::move(*unconstrained), std::move(correspondences));
 
   CsgGraph graph;
   auto assessments = DetectStructureConflicts(scenario, &graph);

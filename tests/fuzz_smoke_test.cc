@@ -11,12 +11,11 @@
 #include <string>
 #include <vector>
 
-#include "efes/common/file_io.h"
-#include "efes/common/string_util.h"
 #include "efes/core/engine.h"
 #include "efes/dedup/dedup_module.h"
 #include "efes/experiment/default_pipeline.h"
 #include "efes/scenario/fuzzer.h"
+#include "test_inputs.h"
 
 #ifndef EFES_SOURCE_DIR
 #error "fuzz_smoke_test requires EFES_SOURCE_DIR (see tests/CMakeLists.txt)"
@@ -25,36 +24,20 @@
 namespace efes {
 namespace {
 
-std::vector<uint64_t> LoadCorpusSeeds() {
-  auto text =
-      ReadFileToString(std::string(EFES_SOURCE_DIR) + "/data/fuzz_corpus.txt");
-  EXPECT_TRUE(text.ok()) << text.status();
-  std::vector<uint64_t> seeds;
-  if (!text.ok()) return seeds;
-  for (const std::string& raw_line : Split(*text, '\n')) {
-    std::string_view line = Trim(raw_line);
-    size_t hash = line.find('#');
-    if (hash != std::string_view::npos) line = Trim(line.substr(0, hash));
-    if (line.empty()) continue;
-    uint64_t seed = 0;
-    for (char c : line) {
-      EXPECT_TRUE(c >= '0' && c <= '9') << "bad corpus line: " << raw_line;
-      seed = seed * 10 + static_cast<uint64_t>(c - '0');
-    }
-    seeds.push_back(seed);
-  }
-  return seeds;
+std::vector<uint64_t> CorpusSeeds() {
+  return LoadCorpusSeeds(std::string(EFES_SOURCE_DIR) +
+                         "/data/fuzz_corpus.txt");
 }
 
 TEST(FuzzSmokeTest, CorpusListsAtLeastFiftyDistinctSeeds) {
-  std::vector<uint64_t> seeds = LoadCorpusSeeds();
+  std::vector<uint64_t> seeds = CorpusSeeds();
   EXPECT_GE(seeds.size(), 50u);
   std::set<uint64_t> distinct(seeds.begin(), seeds.end());
   EXPECT_EQ(distinct.size(), seeds.size()) << "corpus repeats a seed";
 }
 
 TEST(FuzzSmokeTest, EveryCorpusSeedRunsCleanlyThroughTheDefaultEngine) {
-  std::vector<uint64_t> seeds = LoadCorpusSeeds();
+  std::vector<uint64_t> seeds = CorpusSeeds();
   ASSERT_FALSE(seeds.empty());
   EfesEngine engine = MakeDefaultEngine();
   size_t recovered = 0;

@@ -17,6 +17,7 @@
 #include "efes/profiling/profiler.h"
 #include "efes/profiling/statistics.h"
 #include "efes/structure/repair_planner.h"
+#include "test_inputs.h"
 
 namespace efes {
 namespace {
@@ -108,49 +109,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AlgebraPropertyTest,
 
 // --- CSG construction vs direct recounting ---------------------------------
 
-/// Builds a random two-relation database (parent with unique ids, child
-/// with an optionally dangling FK and nullable payload).
-Database RandomDatabase(Random& rng) {
-  Schema schema("random");
-  (void)schema.AddRelation(RelationDef(
-      "parent", {{"id", DataType::kInteger}, {"name", DataType::kText}}));
-  (void)schema.AddRelation(RelationDef(
-      "child", {{"pid", DataType::kInteger}, {"note", DataType::kText}}));
-  schema.AddConstraint(Constraint::PrimaryKey("parent", {"id"}));
-  schema.AddConstraint(
-      Constraint::ForeignKey("child", {"pid"}, "parent", {"id"}));
-  auto db = Database::Create(std::move(schema));
-  size_t parents = 3 + rng.UniformUint64(8);
-  Table* parent = *db->mutable_table("parent");
-  for (size_t i = 0; i < parents; ++i) {
-    EXPECT_TRUE(parent
-                    ->AppendRow({Value::Integer(static_cast<int64_t>(i)),
-                                 Value::Text(rng.Word(3, 6))})
-                    .ok());
-  }
-  Table* child = *db->mutable_table("child");
-  size_t children = rng.UniformUint64(20);
-  for (size_t i = 0; i < children; ++i) {
-    // 15% dangling references, 20% null notes.
-    int64_t pid = rng.Bernoulli(0.15)
-                      ? static_cast<int64_t>(parents + 100)
-                      : static_cast<int64_t>(rng.UniformUint64(parents));
-    EXPECT_TRUE(child
-                    ->AppendRow({Value::Integer(pid),
-                                 rng.Bernoulli(0.2)
-                                     ? Value::Null()
-                                     : Value::Text(rng.Word(3, 6))})
-                    .ok());
-  }
-  return std::move(*db);
-}
-
 class CsgPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CsgPropertyTest, EqualityViolationsMatchDanglingFkCount) {
   Random rng(GetParam());
   for (int round = 0; round < 10; ++round) {
-    Database db = RandomDatabase(rng);
+    Database db = RandomParentChildDatabase(rng);
     Csg csg = BuildCsg(db);
 
     // Count dangling child pids directly.
@@ -183,12 +147,12 @@ TEST_P(CsgPropertyTest, TableToAttributeDegreesNeverExceedOne) {
   // Relational conformity: each tuple has at most one value per attribute
   // — must hold for every converted database by construction.
   Random rng(GetParam() + 50);
-  Database db = RandomDatabase(rng);
+  Database db = RandomParentChildDatabase(rng);
   Csg csg = BuildCsg(db);
   for (const CsgRelationship& rel : csg.graph.relationships()) {
     if (rel.kind != CsgEdgeKind::kAttribute) continue;
     if (csg.graph.node(rel.from).kind != CsgNodeKind::kTable) continue;
-    for (const auto& [element, degree] :
+    for (CsgInstance::Code degree :
          csg.instance.OutDegrees(csg.graph, rel.id)) {
       EXPECT_LE(degree, 1u);
     }
@@ -198,12 +162,12 @@ TEST_P(CsgPropertyTest, TableToAttributeDegreesNeverExceedOne) {
 TEST_P(CsgPropertyTest, AttributeToTableDegreesAtLeastOne) {
   // Every attribute value is contained in a tuple.
   Random rng(GetParam() + 100);
-  Database db = RandomDatabase(rng);
+  Database db = RandomParentChildDatabase(rng);
   Csg csg = BuildCsg(db);
   for (const CsgRelationship& rel : csg.graph.relationships()) {
     if (rel.kind != CsgEdgeKind::kAttribute) continue;
     if (csg.graph.node(rel.from).kind != CsgNodeKind::kAttribute) continue;
-    for (const auto& [element, degree] :
+    for (CsgInstance::Code degree :
          csg.instance.OutDegrees(csg.graph, rel.id)) {
       EXPECT_GE(degree, 1u);
     }

@@ -146,5 +146,31 @@ TEST(TableTest, DuplicateProjectionsDetectsComposites) {
   EXPECT_EQ(table.CountDuplicateProjections({0, 1}), 2u);
 }
 
+TEST(TableTest, DuplicateProjectionsCompareValuesNotRenderings) {
+  // 0.3 and 0.1 + 0.2 are different reals that print alike with 15
+  // significant digits; grouping must follow Value equality.
+  Table table(RelationDef(
+      "r", {{"x", DataType::kReal}, {"y", DataType::kInteger}}));
+  ASSERT_TRUE(table.AppendRow({Value::Real(0.3), Value::Integer(1)}).ok());
+  ASSERT_TRUE(
+      table.AppendRow({Value::Real(0.1 + 0.2), Value::Integer(1)}).ok());
+  ASSERT_EQ(table.DistinctCount(0), 2u);
+  EXPECT_EQ(table.CountDuplicateProjections({0, 1}), 0u);
+  EXPECT_EQ(table.CountDuplicateProjections({0}), 0u);
+  EXPECT_EQ(table.CountDuplicateProjections({1}), 2u);
+  // As a dependent, the two reals are two distinct projections.
+  EXPECT_EQ(table.CountFunctionalDependencyViolations({1}, {0}), 2u);
+  EXPECT_EQ(table.CountFunctionalDependencyViolations({0}, {1}), 0u);
+}
+
+TEST(TableTest, FunctionalDependencyViolationsCountSplitGroups) {
+  Table table = MakeSongsTable();
+  // album -> length: album 1 carries 100 and NULL (NULL is a dependent
+  // value), album 2 only 100, the NULL album is exempt.
+  EXPECT_EQ(table.CountFunctionalDependencyViolations({0}, {2}), 2u);
+  // name -> length: "a" always 100.
+  EXPECT_EQ(table.CountFunctionalDependencyViolations({1}, {2}), 0u);
+}
+
 }  // namespace
 }  // namespace efes
