@@ -44,7 +44,7 @@ efes::Result<Row> Measure(bool extended) {
   efes::EfesEngine engine = efes::MakeDefaultEngine();
   EFES_ASSIGN_OR_RETURN(
       efes::EstimationResult result,
-      engine.Run(scenario, efes::ExpectedQuality::kHighQuality));
+      engine.Run(scenario));
   row.efes = result.estimate.TotalMinutes();
   // A counting baseline calibrated on the *base* scenario: rate such
   // that it is exact there, to expose the drift in isolation.

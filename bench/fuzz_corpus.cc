@@ -55,7 +55,7 @@ int main() {
       return 1;
     }
     auto result =
-        engine.Run(fuzzed->scenario, efes::ExpectedQuality::kHighQuality);
+        engine.Run(fuzzed->scenario);
     if (!result.ok()) {
       std::fprintf(stderr, "seed %llu: %s\n",
                    static_cast<unsigned long long>(seed),

@@ -44,7 +44,7 @@ void BM_FuzzedFullEstimation(benchmark::State& state) {
   FuzzedScenario fuzzed = ScaledFuzz(state.range(0));
   EfesEngine engine = MakeDefaultEngine();
   for (auto _ : state) {
-    auto result = engine.Run(fuzzed.scenario, ExpectedQuality::kHighQuality);
+    auto result = engine.Run(fuzzed.scenario);
     benchmark::DoNotOptimize(result->estimate.TotalMinutes());
   }
 }
@@ -66,7 +66,7 @@ BENCHMARK(BM_FuzzScenarioGeneration)->Arg(400)
 void JsonLineWorkload() {
   FuzzedScenario fuzzed = ScaledFuzz(400);
   EfesEngine engine = MakeDefaultEngine();
-  auto result = engine.Run(fuzzed.scenario, ExpectedQuality::kHighQuality);
+  auto result = engine.Run(fuzzed.scenario);
   benchmark::DoNotOptimize(result->estimate.TotalMinutes());
 }
 

@@ -27,7 +27,7 @@ void BM_FullEstimation(benchmark::State& state) {
   ExecutionSettings settings;
   for (auto _ : state) {
     auto result =
-        engine.Run(scenario, ExpectedQuality::kHighQuality, settings);
+        engine.Run(scenario, {.settings = settings});
     benchmark::DoNotOptimize(result->estimate.TotalMinutes());
   }
   int64_t tuples = 0;
@@ -56,7 +56,7 @@ BENCHMARK(BM_ComplexityAssessmentOnly)->Arg(2000)
 void JsonLineWorkload() {
   IntegrationScenario scenario = ScaledScenario(2000);
   EfesEngine engine = MakeDefaultEngine();
-  auto result = engine.Run(scenario, ExpectedQuality::kHighQuality);
+  auto result = engine.Run(scenario);
   benchmark::DoNotOptimize(result->estimate.TotalMinutes());
 }
 

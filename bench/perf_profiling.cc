@@ -8,8 +8,8 @@
 //   - --rows=<n>: an out-of-core sweep — 8 column streams of n rows
 //     each, generated chunk-by-chunk and absorbed into budgeted
 //     sketches, so the input never exists whole in memory. This is the
-//     scale regime (rows=1e6/1e7) the whole-column ComputeStatistics
-//     path cannot reach under the same --max-memory budget.
+//     scale regime (rows=1e6/1e7) a profile over a materialized
+//     column cannot reach under the same --max-memory budget.
 
 #include <benchmark/benchmark.h>
 

@@ -166,8 +166,7 @@ int main() {
   efes::EfesEngine engine = efes::MakeDefaultEngine(std::move(model));
   engine.AddModule(std::make_unique<DuplicationModule>());
 
-  auto result = engine.Run(*scenario, efes::ExpectedQuality::kHighQuality,
-                           {});
+  auto result = engine.Run(*scenario);
   if (!result.ok()) {
     std::fprintf(stderr, "estimation: %s\n",
                  result.status().ToString().c_str());

@@ -47,8 +47,7 @@ int main() {
       std::make_unique<efes::StructureModule>(structure_options));
   engine.AddModule(std::make_unique<efes::ValueModule>());
 
-  auto result =
-      engine.Run(*scenario, efes::ExpectedQuality::kHighQuality, {});
+  auto result = engine.Run(*scenario);
   if (!result.ok()) {
     std::fprintf(stderr, "estimation failed: %s\n",
                  result.status().ToString().c_str());

@@ -41,8 +41,7 @@ Add missing values = 1.5 * values   # offshore data-research desk
   }
   efes::EfesEngine engine =
       efes::MakeDefaultEngine(std::move(config->model));
-  auto result = engine.Run(*scenario, efes::ExpectedQuality::kHighQuality,
-                           config->settings);
+  auto result = engine.Run(*scenario, {.settings = config->settings});
   if (!result.ok()) {
     std::fprintf(stderr, "estimation: %s\n",
                  result.status().ToString().c_str());

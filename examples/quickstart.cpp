@@ -32,8 +32,7 @@ int main() {
   efes::EfesEngine engine = efes::MakeDefaultEngine();
   efes::ExecutionSettings settings;  // SQL + basic admin tool, Section 6.1
 
-  auto high = engine.Run(*scenario, efes::ExpectedQuality::kHighQuality,
-                         settings);
+  auto high = engine.Run(*scenario, {.settings = settings});
   if (!high.ok()) {
     std::fprintf(stderr, "estimation failed: %s\n",
                  high.status().ToString().c_str());
@@ -45,7 +44,8 @@ int main() {
   // 4. The same scenario under a low-effort strategy (remove offending
   //    tuples instead of repairing them).
   auto low =
-      engine.Run(*scenario, efes::ExpectedQuality::kLowEffort, settings);
+      engine.Run(*scenario, {.quality = efes::ExpectedQuality::kLowEffort,
+                             .settings = settings});
   if (!low.ok()) {
     std::fprintf(stderr, "estimation failed: %s\n",
                  low.status().ToString().c_str());
@@ -62,8 +62,7 @@ int main() {
   // A second-generation mapping tool (Example 3.6) changes the picture:
   efes::ExecutionSettings with_tool = settings;
   with_tool.mapping_tool_available = true;
-  auto tooled = engine.Run(*scenario, efes::ExpectedQuality::kHighQuality,
-                           with_tool);
+  auto tooled = engine.Run(*scenario, {.settings = with_tool});
   std::printf(
       "With an automatic mapping tool the high-quality estimate drops to "
       "%.0f minutes.\n",

@@ -99,7 +99,7 @@ class ProfileCache {
   static std::string FilePathInDirectory(const std::string& directory);
 
   /// The process-wide active cache consulted by the profiling paths
-  /// (ComputeStatistics, DiscoverConstraints), or nullptr (compute
+  /// (ProfileColumn, DiscoverConstraints), or nullptr (compute
   /// everything). Installed via ScopedProfileCache, typically by
   /// EfesEngine::Run from RunOptions::cache.
   static ProfileCache* Active();

@@ -39,8 +39,8 @@ void AddIssue(std::vector<DataIssue>* issues, std::string location,
       DataIssue{"csv", std::move(location), std::move(message)});
 }
 
-// Incremental RFC-4180 scanner shared by ParseCsv (one Feed over the whole
-// text) and ChunkedCsvReader (repeated Feeds over file blocks). Because a
+// Incremental RFC-4180 scanner behind ChunkedCsvReader: one Feed over
+// in-memory text (ParseCsv), or repeated Feeds over file blocks. Because a
 // quote escape ("") and a \r\n sequence can straddle a block boundary, the
 // scanner defers those decisions with one-character pending flags instead
 // of looking ahead, which makes it produce the exact same records for any
@@ -195,42 +195,6 @@ Status NormalizeRecord(std::vector<std::string>& record, size_t header_size,
 
 }  // namespace
 
-Result<CsvDocument> ParseCsv(std::string_view text,
-                             const CsvReadOptions& options,
-                             std::vector<DataIssue>* issues) {
-  const bool recover = options.mode == CsvReadOptions::Mode::kRecover;
-  CsvScanner scanner(options);
-  if (!scanner.Feed(text) || !scanner.Finish()) {
-    return scanner.limit_error();
-  }
-  if (scanner.unterminated_quote()) {
-    if (!recover) {
-      return Status::ParseError("unterminated quoted CSV field");
-    }
-    AddIssue(issues, "end of input",
-             "unterminated quoted field closed at end of input");
-  }
-  std::deque<std::vector<std::string>>& records = scanner.records();
-  if (records.empty()) {
-    return Status::ParseError("CSV input contains no header row");
-  }
-
-  CsvDocument doc;
-  doc.header = std::move(records.front());
-  for (size_t r = 1; r < records.size(); ++r) {
-    EFES_RETURN_IF_ERROR(
-        NormalizeRecord(records[r], doc.header.size(), r, recover, issues));
-    doc.rows.push_back(std::move(records[r]));
-  }
-  return doc;
-}
-
-Result<CsvDocument> ParseCsv(std::string_view text, char delimiter) {
-  CsvReadOptions options;
-  options.delimiter = delimiter;
-  return ParseCsv(text, options, nullptr);
-}
-
 std::string WriteCsv(const CsvDocument& doc, char delimiter) {
   std::string out;
   auto append_row = [&](const std::vector<std::string>& row) {
@@ -243,25 +207,6 @@ std::string WriteCsv(const CsvDocument& doc, char delimiter) {
   append_row(doc.header);
   for (const auto& row : doc.rows) append_row(row);
   return out;
-}
-
-Result<CsvDocument> ReadCsvFile(const std::string& path,
-                                const CsvReadOptions& options,
-                                std::vector<DataIssue>* issues) {
-  EFES_RETURN_IF_ERROR(CheckFaultPoint("csv.read"));
-  EFES_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
-  Result<CsvDocument> doc = ParseCsv(text, options, issues);
-  if (!doc.ok()) {
-    return Status(doc.status().code(),
-                  doc.status().message() + " (" + path + ")");
-  }
-  return doc;
-}
-
-Result<CsvDocument> ReadCsvFile(const std::string& path, char delimiter) {
-  CsvReadOptions options;
-  options.delimiter = delimiter;
-  return ReadCsvFile(path, options, nullptr);
 }
 
 Status WriteCsvFile(const CsvDocument& doc, const std::string& path,
@@ -278,16 +223,26 @@ struct ChunkedCsvReader::Impl {
         chunk_rows(chunk_rows),
         scanner(options) {}
 
-  // Appends " (path)" the way ReadCsvFile does, and latches the error so
-  // every later NextChunk repeats it.
+  // Appends " (path)" to errors of a file source, and latches the error
+  // so every later NextChunk repeats it.
   Status Fail(const Status& status) {
-    error = Status(status.code(), status.message() + " (" + path + ")");
+    error = path.empty() ? status
+                         : Status(status.code(),
+                                  status.message() + " (" + path + ")");
     return error;
   }
 
-  // Reads one block from the file into the scanner; sets source_done and
-  // finishes the scanner at end of file.
+  // Feeds the next block of the source into the scanner; sets
+  // source_done and finishes the scanner at end of input. In-memory text
+  // is fed as one block.
   Status Pump() {
+    if (!stream.is_open()) {
+      source_done = true;
+      if (!scanner.Feed(text) || !scanner.Finish()) {
+        return Fail(scanner.limit_error());
+      }
+      return Status::OK();
+    }
     char buffer[1 << 16];
     stream.read(buffer, sizeof(buffer));
     const std::streamsize got = stream.gcount();
@@ -305,10 +260,17 @@ struct ChunkedCsvReader::Impl {
     return Status::OK();
   }
 
+  // True while an unterminated final quote still has to be reported.
+  bool QuotePending() const {
+    return source_done && scanner.unterminated_quote() &&
+           !quote_issue_reported;
+  }
+
   const CsvReadOptions options;
-  const std::string path;
+  const std::string path;  // empty for in-memory text
   const size_t chunk_rows;
   std::ifstream stream;
+  std::string_view text;  // the source when no file is open
   CsvScanner scanner;
   std::vector<std::string> header;
   bool source_done = false;
@@ -333,6 +295,10 @@ Result<ChunkedCsvReader> ChunkedCsvReader::Open(const std::string& path,
   if (!impl->stream) {
     return Status::NotFound("cannot open: " + path);
   }
+  return Start(std::move(impl));
+}
+
+Result<ChunkedCsvReader> ChunkedCsvReader::Start(std::unique_ptr<Impl> impl) {
   while (impl->scanner.records().empty() && !impl->source_done) {
     EFES_RETURN_IF_ERROR(impl->Pump());
   }
@@ -358,8 +324,7 @@ Result<std::vector<std::vector<std::string>>> ChunkedCsvReader::NextChunk(
   while (impl.scanner.records().size() < want && !impl.source_done) {
     EFES_RETURN_IF_ERROR(impl.Pump());
   }
-  if (impl.source_done && impl.scanner.unterminated_quote() &&
-      !impl.quote_issue_reported) {
+  if (impl.QuotePending()) {
     impl.quote_issue_reported = true;
     if (!recover) {
       return impl.Fail(Status::ParseError("unterminated quoted CSV field"));
@@ -383,11 +348,26 @@ Result<std::vector<std::vector<std::string>>> ChunkedCsvReader::NextChunk(
 }
 
 bool ChunkedCsvReader::done() const {
-  return impl_->source_done && impl_->scanner.records().empty();
+  return impl_->source_done && impl_->scanner.records().empty() &&
+         !impl_->QuotePending();
 }
 
 size_t ChunkedCsvReader::rows_delivered() const {
   return impl_->rows_delivered;
+}
+
+Result<CsvDocument> ParseCsv(std::string_view text,
+                             const CsvReadOptions& options,
+                             std::vector<DataIssue>* issues) {
+  auto impl = std::make_unique<ChunkedCsvReader::Impl>(options, "", 0);
+  impl->text = text;
+  EFES_ASSIGN_OR_RETURN(ChunkedCsvReader reader,
+                        ChunkedCsvReader::Start(std::move(impl)));
+  CsvDocument doc;
+  doc.header = reader.header();
+  // chunk_rows 0: one NextChunk delivers every row.
+  EFES_ASSIGN_OR_RETURN(doc.rows, reader.NextChunk(issues));
+  return doc;
 }
 
 }  // namespace efes

@@ -4,6 +4,11 @@
 // examples can demonstrate loading external data, and tests round-trip
 // through this module.
 //
+// There is one reading path: ChunkedCsvReader streams a file in row
+// chunks, and ParseCsv drains the same reader over in-memory text, so
+// quoting, header extraction, row normalization, and every error are
+// defined once.
+//
 // Parsing runs in one of two modes (CsvReadOptions::Mode):
 //   * kStrict (default): the historical fail-fast behavior — the first
 //     malformed row aborts the parse with a ParseError.
@@ -55,25 +60,14 @@ struct CsvReadOptions {
 /// In strict mode every row must have exactly as many cells as the
 /// header; in recover mode misshapen rows are repaired and reported
 /// through `issues` (may be null to discard the diagnostics).
+/// Equivalent to draining a ChunkedCsvReader over `text` in one chunk.
 Result<CsvDocument> ParseCsv(std::string_view text,
-                             const CsvReadOptions& options,
+                             const CsvReadOptions& options = {},
                              std::vector<DataIssue>* issues = nullptr);
-
-/// Strict parse with default limits (the historical entry point).
-Result<CsvDocument> ParseCsv(std::string_view text, char delimiter = ',');
 
 /// Serializes a document, quoting cells that contain the delimiter,
 /// quotes, or newlines.
 std::string WriteCsv(const CsvDocument& doc, char delimiter = ',');
-
-/// Reads and parses a CSV file from disk. Fault point: `csv.read`.
-Result<CsvDocument> ReadCsvFile(const std::string& path,
-                                const CsvReadOptions& options,
-                                std::vector<DataIssue>* issues = nullptr);
-
-/// Strict read with default limits.
-Result<CsvDocument> ReadCsvFile(const std::string& path,
-                                char delimiter = ',');
 
 /// Writes a document to disk atomically (temp file + rename), replacing
 /// any existing file.
@@ -81,11 +75,12 @@ Status WriteCsvFile(const CsvDocument& doc, const std::string& path,
                     char delimiter = ',');
 
 /// Streaming CSV ingest: reads a file in fixed-size row blocks instead of
-/// materializing the whole document, so profiling can absorb arbitrarily
-/// large sources chunk by chunk (profiling/profiler.h). Parsing semantics
-/// are identical to ReadCsvFile — same quoting rules, strict/recover
-/// behavior, repair messages, and resource limits — because both run the
-/// same incremental scanner; only the delivery granularity differs.
+/// materializing the whole document, so scenario loading and profiling
+/// absorb arbitrarily large sources chunk by chunk. Errors surface in
+/// stream order: a malformed row is reported by the chunk that holds it,
+/// while an unterminated quote can only be seen at end of input and is
+/// reported (strict: failed, recover: closed and described) by the last
+/// NextChunk call, before that chunk's rows are normalized.
 ///
 /// Usage:
 ///   EFES_ASSIGN_OR_RETURN(ChunkedCsvReader reader,
@@ -120,15 +115,21 @@ class ChunkedCsvReader {
   Result<std::vector<std::vector<std::string>>> NextChunk(
       std::vector<DataIssue>* issues = nullptr);
 
-  /// True once the file is exhausted and every row has been delivered.
+  /// True once the file is exhausted and every row has been delivered
+  /// (and an unterminated final quote, if any, has been reported).
   bool done() const;
 
   /// Data rows delivered so far (header excluded).
   size_t rows_delivered() const;
 
  private:
+  friend Result<CsvDocument> ParseCsv(std::string_view text,
+                                      const CsvReadOptions& options,
+                                      std::vector<DataIssue>* issues);
   struct Impl;
   explicit ChunkedCsvReader(std::unique_ptr<Impl> impl);
+  /// Reads up to the header row from impl's source.
+  static Result<ChunkedCsvReader> Start(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
 };
 

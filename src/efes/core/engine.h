@@ -30,13 +30,13 @@ class ProfileCache;
 ///   engine.Run(scenario, options);
 ///
 /// New knobs land here as defaulted fields, so adding one never breaks a
-/// call site (the old positional Run(scenario, quality, settings)
-/// overload delegates here and is kept for compatibility).
+/// call site. Aggregate initialization keeps calls short:
+/// `engine.Run(scenario, {.quality = q, .settings = s})`.
 struct RunOptions {
   /// The expected-quality input of the paper's Section 3.2.
   ExpectedQuality quality = ExpectedQuality::kHighQuality;
   /// Execution-context multipliers (practitioner skill, familiarity, ...).
-  ExecutionSettings settings;
+  ExecutionSettings settings{};
   /// Optional profile cache consulted by phase-1 profiling. When set, the
   /// engine installs it for the duration of the run (ScopedProfileCache),
   /// so repeated runs over unchanged sources skip recomputation. When
@@ -48,7 +48,7 @@ struct RunOptions {
   /// (ScopedProfileOptions) so every ProfileColumn call under the engine
   /// streams under the same policy. The default is the legacy exact,
   /// unbudgeted behavior.
-  ProfileOptions profile;
+  ProfileOptions profile{};
 };
 
 /// One planned task with its estimated effort.
@@ -118,16 +118,6 @@ class EfesEngine {
   /// Runs phase 1 + 2 of every module and prices the resulting tasks.
   Result<EstimationResult> Run(const IntegrationScenario& scenario,
                                const RunOptions& options = {}) const;
-
-  /// Compatibility shim for the pre-RunOptions positional signature.
-  Result<EstimationResult> Run(const IntegrationScenario& scenario,
-                               ExpectedQuality quality,
-                               const ExecutionSettings& settings = {}) const {
-    RunOptions options;
-    options.quality = quality;
-    options.settings = settings;
-    return Run(scenario, options);
-  }
 
   /// Runs phase 1 only — the pure complexity assessment, useful for
   /// source selection and data visualization (Section 3.3). Only

@@ -13,8 +13,9 @@ Result<std::vector<SourceRanking>> RankSources(
     ExpectedQuality quality, const ExecutionSettings& settings) {
   std::vector<SourceRanking> rankings;
   for (const IntegrationScenario& candidate : candidates) {
-    EFES_ASSIGN_OR_RETURN(EstimationResult result,
-                          engine.Run(candidate, quality, settings));
+    EFES_ASSIGN_OR_RETURN(
+        EstimationResult result,
+        engine.Run(candidate, {.quality = quality, .settings = settings}));
     SourceRanking ranking;
     ranking.scenario = candidate.name;
     ranking.estimated_minutes = result.estimate.TotalMinutes();

@@ -142,8 +142,9 @@ Result<StudyResult> RunStudy(
       outcome.measured_structure = measured.structure_minutes;
       outcome.measured_values = measured.value_minutes;
 
-      EFES_ASSIGN_OR_RETURN(EstimationResult estimation,
-                            engine.Run(scenario, quality, settings));
+      EFES_ASSIGN_OR_RETURN(
+          EstimationResult estimation,
+          engine.Run(scenario, {.quality = quality, .settings = settings}));
       outcome.efes_total = estimation.estimate.TotalMinutes();
       outcome.efes_mapping =
           estimation.estimate.CategoryMinutes(TaskCategory::kMapping);
@@ -187,8 +188,9 @@ Result<TrainingData> CollectTrainingData(
     for (ExpectedQuality quality : kQualities) {
       EFES_ASSIGN_OR_RETURN(MeasuredEffort measured,
                             SimulateMeasuredEffort(scenario, quality, seed));
-      EFES_ASSIGN_OR_RETURN(EstimationResult estimation,
-                            engine.Run(scenario, quality, settings));
+      EFES_ASSIGN_OR_RETURN(
+          EstimationResult estimation,
+          engine.Run(scenario, {.quality = quality, .settings = settings}));
       data.measured.push_back(measured.total());
       data.efes_raw.push_back(estimation.estimate.TotalMinutes());
       data.attribute_counts.push_back(

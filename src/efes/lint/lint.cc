@@ -20,7 +20,6 @@ constexpr std::string_view kHeaderHygiene = "header-hygiene";
 constexpr std::string_view kBannedFunction = "banned-function";
 constexpr std::string_view kUnboundedWait = "unbounded-wait";
 constexpr std::string_view kMetricName = "metric-name";
-constexpr std::string_view kWholeColumnProfile = "whole-column-profile";
 constexpr std::string_view kBadSuppression = "bad-suppression";
 
 /// Check ids a suppression may name (bad-suppression itself is not
@@ -28,7 +27,7 @@ constexpr std::string_view kBadSuppression = "bad-suppression";
 constexpr std::string_view kSuppressibleChecks[] = {
     kDiscardedStatus, kNondeterminism, kUnorderedIteration,
     kRawFileWrite,    kHeaderHygiene,  kBannedFunction,
-    kUnboundedWait,   kMetricName,     kWholeColumnProfile};
+    kUnboundedWait,   kMetricName};
 
 bool PathMatchesAny(std::string_view path,
                     const std::vector<std::string>& patterns) {
@@ -276,8 +275,6 @@ void Linter::CheckFile(std::string_view path, std::string_view content,
       PathMatchesAny(path, config_.banned_function_allowlist);
   const bool allow_unbounded_wait =
       PathMatchesAny(path, config_.unbounded_wait_allowlist);
-  const bool allow_whole_column =
-      PathMatchesAny(path, config_.whole_column_profile_allowlist);
   const bool ordered_output =
       PathMatchesAny(path, config_.ordered_output_paths);
 
@@ -430,25 +427,6 @@ void Linter::CheckFile(std::string_view path, std::string_view content,
               "notify, shutdown); use wait(lock, predicate) or a "
               "wait_for/wait_until overload");
         }
-      }
-    }
-
-    // ---- whole-column-profile ----------------------------------------
-    if (!allow_whole_column) {
-      if (t.text == "ComputeStatistics" ||
-          t.text == "ComputeStatisticsBatch") {
-        add(kWholeColumnProfile, t.line,
-            std::string(t.text) +
-                " is the deprecated whole-column profiler; use "
-                "ProfileColumn/ProfileColumns (profiling/profiler.h), "
-                "which stream the column in chunks under the ambient "
-                "ProfileOptions");
-      }
-      if (t.text == "ColumnStatisticsRequest") {
-        add(kWholeColumnProfile, t.line,
-            "ColumnStatisticsRequest is superseded by ProfileRequest "
-            "(profiling/profiler.h), which profiles through the chunked, "
-            "budgeted sketch path");
       }
     }
 

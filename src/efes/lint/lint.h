@@ -42,13 +42,6 @@
 //                       does not follow the dotted lowercase
 //                       `module.phase.metric` scheme (two or more
 //                       [a-z0-9_]+ segments).
-//   whole-column-profile A use of the deprecated one-shot profiling API
-//                       (ComputeStatistics, ComputeStatisticsBatch,
-//                       ColumnStatisticsRequest) outside profiling/.
-//                       New call sites must go through ProfileColumn/
-//                       ProfileColumns/ProfileRequest (profiler.h) so
-//                       profiling stays chunked, budget-aware, and
-//                       byte-identical across thread counts.
 //   bad-suppression     An EFES_LINT_ALLOW comment with an unknown check
 //                       id or without a reason.
 //
@@ -94,11 +87,6 @@ struct LintConfig {
   /// concurrency and I/O primitives everything else is supposed to
   /// block through.
   std::vector<std::string> unbounded_wait_allowlist = {"common/"};
-  /// Files allowed to name the deprecated whole-column profiling API
-  /// (ComputeStatistics/ComputeStatisticsBatch/ColumnStatisticsRequest):
-  /// the profiling module that declares, defines, and wraps it. Every
-  /// other call site must use ProfileColumn/ProfileColumns.
-  std::vector<std::string> whole_column_profile_allowlist = {"profiling/"};
   /// Output-rendering paths where unordered iteration order would become
   /// observable bytes; the unordered-iteration check only runs here.
   std::vector<std::string> ordered_output_paths = {

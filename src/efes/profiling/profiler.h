@@ -1,13 +1,12 @@
 // The profiling entry points — chunked, budgeted, cache-fronted.
 //
-// ProfileColumn/ProfileColumns replace the whole-column
-// ComputeStatistics/ComputeStatisticsBatch API (both still exist in
-// statistics.h as deprecated one-shot wrappers over this path). A column
-// is split into ProfileOptions::chunk_rows blocks, each block is
-// absorbed into a partial StatisticsSketch on the shared pool, and the
-// partials are folded in canonical chunk order — so the result is
-// byte-identical for any --threads=N and any chunk size (sketch.h
-// explains why), while peak profiling memory is bounded by
+// ProfileColumn/ProfileColumns are the only way to compute the §5.1
+// statistics of a column (statistics.h holds the result types and the
+// fit scoring). A column is split into ProfileOptions::chunk_rows
+// blocks, each block is absorbed into a partial StatisticsSketch on the
+// shared pool, and the partials are folded in canonical chunk order — so
+// the result is byte-identical for any --threads=N and any chunk size
+// (sketch.h explains why), while peak profiling memory is bounded by
 // (threads + 1) sketches instead of one map over the whole column.
 //
 // Spill-to-cache: when a ProfileCache is active, multi-chunk columns

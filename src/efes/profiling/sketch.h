@@ -1,8 +1,8 @@
 // Mergeable statistic sketches — out-of-core profiling (DESIGN.md §16).
 //
-// The whole-column ComputeStatistics path materializes a column before
-// profiling it, which caps EFES far below the 100M+ row target. This
-// layer redesigns profiling around a *mergeable accumulator*:
+// Profiling a column in one pass over a materialized column caps EFES
+// far below the 100M+ row target. This layer builds profiling around a
+// *mergeable accumulator*:
 //
 //   StatisticsSketch sketch(type, options);
 //   sketch.Absorb(chunk values...);      // any partition of the column

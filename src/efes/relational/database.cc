@@ -1,7 +1,6 @@
 #include "efes/relational/database.h"
 
 #include <sstream>
-#include <unordered_set>
 
 namespace efes {
 
@@ -47,23 +46,6 @@ size_t Database::TotalRowCount() const {
 }
 
 namespace {
-
-/// Serializes the projection of row `r` onto `columns`, or returns false
-/// if any projected cell is NULL.
-bool ProjectKey(const Table& table, size_t r,
-                const std::vector<size_t>& columns, std::string* key) {
-  key->clear();
-  for (size_t c : columns) {
-    const Value& value = table.at(r, c);
-    if (value.is_null()) return false;
-    std::string repr = value.ToString();
-    *key += std::to_string(repr.size());
-    *key += ':';
-    *key += repr;
-    *key += '\x1f';
-  }
-  return true;
-}
 
 std::vector<size_t> ResolveColumns(const RelationDef& def,
                                    const std::vector<std::string>& names) {
@@ -121,19 +103,8 @@ std::vector<ConstraintViolation> Database::FindConstraintViolations() const {
         const Table& parent = **parent_result;
         std::vector<size_t> parent_columns =
             ResolveColumns(parent.def(), c.referenced_attributes);
-        std::unordered_set<std::string> parent_keys;
-        std::string key;
-        for (size_t r = 0; r < parent.row_count(); ++r) {
-          if (ProjectKey(parent, r, parent_columns, &key)) {
-            parent_keys.insert(key);
-          }
-        }
-        for (size_t r = 0; r < child.row_count(); ++r) {
-          if (ProjectKey(child, r, columns, &key) &&
-              parent_keys.count(key) == 0) {
-            ++violating;
-          }
-        }
+        violating =
+            child.CountDanglingReferences(columns, parent, parent_columns);
         break;
       }
     }
@@ -148,30 +119,34 @@ bool Database::SatisfiesConstraints() const {
   return FindConstraintViolations().empty();
 }
 
-Status Database::LoadCsv(std::string_view relation, const CsvDocument& doc) {
-  EFES_ASSIGN_OR_RETURN(Table * target, mutable_table(relation));
+Status Database::CheckCsvHeader(
+    std::string_view relation, const std::vector<std::string>& header) const {
+  EFES_ASSIGN_OR_RETURN(const Table* target, table(relation));
   const RelationDef& def = target->def();
-  if (doc.header.size() != def.attribute_count()) {
+  if (header.size() != def.attribute_count()) {
     return Status::InvalidArgument(
         "CSV header arity does not match relation '" +
         std::string(relation) + "'");
   }
-  for (size_t i = 0; i < doc.header.size(); ++i) {
-    if (doc.header[i] != def.attributes()[i].name) {
-      return Status::InvalidArgument("CSV header column '" + doc.header[i] +
+  for (size_t i = 0; i < header.size(); ++i) {
+    if (header[i] != def.attributes()[i].name) {
+      return Status::InvalidArgument("CSV header column '" + header[i] +
                                      "' does not match attribute '" +
                                      def.attributes()[i].name + "'");
     }
   }
-  for (const auto& csv_row : doc.rows) {
+  return Status::OK();
+}
+
+Status Database::LoadCsv(std::string_view relation,
+                         std::vector<std::vector<std::string>> rows) {
+  EFES_ASSIGN_OR_RETURN(Table * target, mutable_table(relation));
+  for (std::vector<std::string>& csv_row : rows) {
     std::vector<Value> row;
     row.reserve(csv_row.size());
-    for (const std::string& cell : csv_row) {
-      if (cell.empty()) {
-        row.push_back(Value::Null());
-      } else {
-        row.push_back(Value::Text(cell));
-      }
+    for (std::string& cell : csv_row) {
+      row.push_back(cell.empty() ? Value::Null()
+                                 : Value::Text(std::move(cell)));
     }
     EFES_RETURN_IF_ERROR(target->AppendRow(std::move(row)));
   }

@@ -56,10 +56,18 @@ class Database {
   /// Convenience: true iff FindConstraintViolations() is empty.
   bool SatisfiesConstraints() const;
 
-  /// Bulk-loads rows from a CSV document into `relation`. The CSV header
-  /// must match the relation's attribute names (same order). Empty cells
-  /// become NULL.
-  Status LoadCsv(std::string_view relation, const CsvDocument& doc);
+  /// Checks a CSV header against `relation`: it must name the relation's
+  /// attributes, in order.
+  Status CheckCsvHeader(std::string_view relation,
+                        const std::vector<std::string>& header) const;
+
+  /// Appends CSV data rows, such as one ChunkedCsvReader chunk, to
+  /// `relation`, whose header passed CheckCsvHeader. Each cell moves into
+  /// a Value: an empty cell becomes NULL, any other is cast to its
+  /// attribute's type. Stops at the first row the table rejects; the
+  /// rows before it stay loaded.
+  Status LoadCsv(std::string_view relation,
+                 std::vector<std::vector<std::string>> rows);
 
   /// Exports the instance of `relation` as CSV (NULL as empty cell).
   Result<CsvDocument> ExportCsv(std::string_view relation) const;

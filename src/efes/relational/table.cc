@@ -17,17 +17,15 @@ Status Table::AppendRow(std::vector<Value> row) {
         << " attributes";
     return Status::InvalidArgument(oss.str());
   }
-  // Validate castability first so a failed append leaves the table
-  // unchanged.
-  std::vector<Value> canonical;
-  canonical.reserve(row.size());
+  // Cast every cell first so a failed append leaves the table unchanged.
+  // NULLs and cells already of the attribute type are kept as they are.
   for (size_t c = 0; c < row.size(); ++c) {
     DataType target = def_.attributes()[c].type;
-    EFES_ASSIGN_OR_RETURN(Value cast, row[c].CastTo(target));
-    canonical.push_back(std::move(cast));
+    if (row[c].is_null() || row[c].type() == target) continue;
+    EFES_ASSIGN_OR_RETURN(row[c], row[c].CastTo(target));
   }
-  for (size_t c = 0; c < canonical.size(); ++c) {
-    columns_[c].push_back(std::move(canonical[c]));
+  for (size_t c = 0; c < row.size(); ++c) {
+    columns_[c].push_back(std::move(row[c]));
   }
   ++row_count_;
   return Status::OK();
@@ -194,6 +192,52 @@ size_t Table::CountFunctionalDependencyViolations(
 
 bool Table::IsUnique(const std::vector<size_t>& columns) const {
   return CountDuplicateProjections(columns) == 0;
+}
+
+size_t Table::CountDanglingReferences(
+    const std::vector<size_t>& columns, const Table& referenced,
+    const std::vector<size_t>& referenced_columns) const {
+  // Referenced rows are the set's keys; a referencing row probes the set
+  // as a ChildRow through the transparent hash and equality, so no
+  // projection is ever copied out of either table.
+  struct ChildRow {
+    size_t row;
+  };
+  struct Lookup {
+    using is_transparent = void;
+    Projection parent;
+    Projection child;
+
+    size_t operator()(size_t row) const { return parent(row); }
+    size_t operator()(ChildRow probe) const { return child(probe.row); }
+    bool operator()(size_t a, size_t b) const { return parent(a, b); }
+    bool operator()(ChildRow probe, size_t row) const {
+      for (size_t i = 0; i < child.columns->size(); ++i) {
+        if ((*child.data)[(*child.columns)[i]][probe.row] !=
+            (*parent.data)[(*parent.columns)[i]][row]) {
+          return false;
+        }
+      }
+      return true;
+    }
+    bool operator()(size_t row, ChildRow probe) const {
+      return (*this)(probe, row);
+    }
+  };
+  Lookup lookup{Projection{&referenced.columns_, &referenced_columns},
+                Projection{&columns_, &columns}};
+  std::unordered_set<size_t, Lookup, Lookup> keys(referenced.row_count_,
+                                                  lookup, lookup);
+  for (size_t r = 0; r < referenced.row_count_; ++r) {
+    if (!lookup.parent.HasNull(r)) keys.insert(r);
+  }
+  size_t dangling = 0;
+  for (size_t r = 0; r < row_count_; ++r) {
+    if (!lookup.child.HasNull(r) && keys.find(ChildRow{r}) == keys.end()) {
+      ++dangling;
+    }
+  }
+  return dangling;
 }
 
 }  // namespace efes

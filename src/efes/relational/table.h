@@ -95,6 +95,14 @@ class Table {
   /// exempt).
   bool IsUnique(const std::vector<size_t>& columns) const;
 
+  /// Number of rows whose projection onto `columns` (rows with any NULL
+  /// among them exempt) equals no projection of `referenced` onto
+  /// `referenced_columns` — the dangling references of a foreign key.
+  /// Projections compare under Value equality, as in the checks above.
+  size_t CountDanglingReferences(
+      const std::vector<size_t>& columns, const Table& referenced,
+      const std::vector<size_t>& referenced_columns) const;
+
  private:
   RelationDef def_;
   size_t row_count_ = 0;

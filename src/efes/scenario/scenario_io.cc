@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <sstream>
 
 #include "efes/common/fault.h"
@@ -56,6 +57,51 @@ Status SaveDatabase(const Database& database, const fs::path& directory) {
   return Status::OK();
 }
 
+/// Streams one table file into the table of `relation`, chunk by chunk.
+/// The reader is drained to the end even after the header or a row was
+/// rejected (later rows are then read but not appended), so a CSV error
+/// anywhere in the file wins over the relational one. In recover mode a
+/// CSV error leaves the table empty with one "table skipped" issue, and
+/// a relational error keeps the rows before it and is reported after
+/// every CSV repair issue of the file.
+Status LoadTable(Database& database, const RelationDef& relation,
+                 const std::string& path, const LoadOptions& options,
+                 std::vector<DataIssue>* issues) {
+  const bool recover = IsRecover(options);
+  std::vector<DataIssue> csv_issues;
+  Status relational;
+  Status csv = [&]() -> Status {
+    EFES_ASSIGN_OR_RETURN(
+        ChunkedCsvReader reader,
+        ChunkedCsvReader::Open(path, CsvOptionsFor(options), kLoadChunkRows));
+    relational = database.CheckCsvHeader(relation.name(), reader.header());
+    while (!reader.done()) {
+      EFES_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> rows,
+                            reader.NextChunk(&csv_issues));
+      if (relational.ok()) {
+        relational = database.LoadCsv(relation.name(), std::move(rows));
+      }
+    }
+    return Status::OK();
+  }();
+  if (!csv.ok()) {
+    if (!recover) return csv;
+    **database.mutable_table(relation.name()) = Table(relation);
+    AddIssue(issues, "data", path, "table skipped: " + csv.ToString());
+    return Status::OK();
+  }
+  if (issues != nullptr) {
+    issues->insert(issues->end(), std::make_move_iterator(csv_issues.begin()),
+                   std::make_move_iterator(csv_issues.end()));
+  }
+  if (!relational.ok()) {
+    if (!recover) return relational;
+    AddIssue(issues, "data", path,
+             "table partially loaded: " + relational.ToString());
+  }
+  return Status::OK();
+}
+
 /// Loads one database directory. In recover mode, per-table defects
 /// (unreadable or malformed CSV, rows the relational layer rejects) are
 /// recorded in `issues` and the table is left with what loaded cleanly;
@@ -69,27 +115,13 @@ Result<Database> LoadDatabase(const fs::path& directory,
   EFES_ASSIGN_OR_RETURN(Schema schema, ParseSchemaText(ddl, name));
   EFES_ASSIGN_OR_RETURN(Database database,
                         Database::Create(std::move(schema)));
-  const bool recover = IsRecover(options);
-  CsvReadOptions csv_options = CsvOptionsFor(options);
   fs::path data_dir = directory / "data";
   if (fs::exists(data_dir)) {
     for (const RelationDef& relation : database.schema().relations()) {
       fs::path csv_path = data_dir / (relation.name() + ".csv");
       if (!fs::exists(csv_path)) continue;
-      Result<CsvDocument> doc =
-          ReadCsvFile(csv_path.string(), csv_options, issues);
-      if (!doc.ok()) {
-        if (!recover) return doc.status();
-        AddIssue(issues, "data", csv_path.string(),
-                 "table skipped: " + doc.status().ToString());
-        continue;
-      }
-      Status loaded = database.LoadCsv(relation.name(), *doc);
-      if (!loaded.ok()) {
-        if (!recover) return loaded;
-        AddIssue(issues, "data", csv_path.string(),
-                 "table partially loaded: " + loaded.ToString());
-      }
+      EFES_RETURN_IF_ERROR(
+          LoadTable(database, relation, csv_path.string(), options, issues));
     }
   }
   return database;

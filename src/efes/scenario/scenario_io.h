@@ -40,6 +40,10 @@
 
 namespace efes {
 
+/// Rows per chunk when a table file streams into its Table: bounds the
+/// CSV strings held at once, whatever the file size.
+inline constexpr size_t kLoadChunkRows = 4096;
+
 /// How to load a scenario directory.
 struct LoadOptions {
   enum class Mode { kStrict, kRecover };

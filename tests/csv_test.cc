@@ -127,7 +127,9 @@ TEST(CsvTest, RejectsEmptyInput) {
 }
 
 TEST(CsvTest, CustomDelimiter) {
-  auto doc = ParseCsv("a;b\n1;2\n", ';');
+  CsvReadOptions options;
+  options.delimiter = ';';
+  auto doc = ParseCsv("a;b\n1;2\n", options);
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->rows[0][1], "2");
 }
@@ -160,13 +162,18 @@ TEST(CsvTest, FileRoundTrip) {
   doc.rows = {{"1", "2"}, {"3", ""}};
   std::string path = TestScratchPath("efes_csv_test") + ".csv";
   ASSERT_TRUE(WriteCsvFile(doc, path).ok());
-  auto read = ReadCsvFile(path);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read->rows, doc.rows);
+  auto reader = ChunkedCsvReader::Open(path, CsvReadOptions{}, 0);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader->header(), doc.header);
+  auto rows = reader->NextChunk();
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, doc.rows);
+  EXPECT_TRUE(reader->done());
 }
 
 TEST(CsvTest, ReadMissingFileFails) {
-  auto result = ReadCsvFile("/nonexistent/path/data.csv");
+  auto result =
+      ChunkedCsvReader::Open("/nonexistent/path/data.csv", CsvReadOptions{}, 0);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
@@ -337,6 +344,29 @@ TEST(ChunkedCsvTest, RecoverModeRepairsAcrossChunks) {
   EXPECT_EQ(*rows, (std::vector<std::vector<std::string>>{
                        {"1", ""}, {"2", "3"}, {"5", "6"}}));
   EXPECT_EQ(issues.size(), 2u);
+}
+
+TEST(ChunkedCsvTest, UnterminatedQuoteInHeaderOnlyFileIsReported) {
+  // The header is the only record, so no data chunk carries the quote
+  // report; done() stays false until NextChunk has made it.
+  const std::string path = ChunkedScratchFile("header_quote", "a,\"b");
+  auto strict = ChunkedCsvReader::Open(path, CsvReadOptions{}, 8);
+  ASSERT_TRUE(strict.ok());
+  EXPECT_FALSE(strict->done());
+  auto failed = DrainChunks(*strict);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kParseError);
+  EXPECT_FALSE(ParseCsv("a,\"b").ok());
+
+  auto recover = ChunkedCsvReader::Open(path, RecoverOptions(), 8);
+  ASSERT_TRUE(recover.ok());
+  std::vector<DataIssue> issues;
+  auto rows = DrainChunks(*recover, &issues);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_TRUE(rows->empty());
+  EXPECT_EQ(recover->header(), (std::vector<std::string>{"a", "b"}));
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].location, "end of input");
 }
 
 TEST(ChunkedCsvTest, MissingFileFailsAtOpen) {

@@ -111,6 +111,31 @@ TEST(DatabaseTest, UniqueConstraintChecked) {
   EXPECT_EQ(violations[0].violating_rows, 2u);
 }
 
+TEST(DatabaseTest, ForeignKeyCheckComparesValuesNotRenderings) {
+  // 0.1 + 0.2 renders as "0.3" at 15 significant digits but is not equal
+  // to 0.3, so the reference dangles. 2 and 2.0 are equal values.
+  Schema schema("db");
+  (void)schema.AddRelation(RelationDef("parent", {{"key", DataType::kReal}}));
+  (void)schema.AddRelation(RelationDef("child", {{"ref", DataType::kReal}}));
+  schema.AddConstraint(
+      Constraint::ForeignKey("child", {"ref"}, "parent", {"key"}));
+  auto db = Database::Create(std::move(schema));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  Table* parent = *db->mutable_table("parent");
+  ASSERT_TRUE(parent->AppendRow({Value::Real(0.3)}).ok());
+  ASSERT_TRUE(parent->AppendRow({Value::Real(2.0)}).ok());
+  Table* child = *db->mutable_table("child");
+  ASSERT_TRUE(child->AppendRow({Value::Real(0.1 + 0.2)}).ok());
+  ASSERT_TRUE(child->AppendRow({Value::Integer(2)}).ok());
+  ASSERT_TRUE(child->AppendRow({Value::Null()}).ok());
+  ASSERT_EQ(child->at(0, 0).ToString(), parent->at(0, 0).ToString());
+
+  auto violations = db->FindConstraintViolations();
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].constraint.kind, ConstraintKind::kForeignKey);
+  EXPECT_EQ(violations[0].violating_rows, 1u);
+}
+
 TEST(DatabaseTest, ViolationToStringMentionsConstraint) {
   auto db = Database::Create(MakeSchema());
   Table* parent = *db->mutable_table("parent");
@@ -126,7 +151,8 @@ TEST(DatabaseTest, LoadCsvTypedAndNulls) {
   CsvDocument doc;
   doc.header = {"id", "name"};
   doc.rows = {{"1", "alpha"}, {"2", ""}};
-  ASSERT_TRUE(db->LoadCsv("parent", doc).ok());
+  ASSERT_TRUE(db->CheckCsvHeader("parent", doc.header).ok());
+  ASSERT_TRUE(db->LoadCsv("parent", doc.rows).ok());
   const Table* parent = *db->table("parent");
   EXPECT_EQ(parent->row_count(), 2u);
   EXPECT_EQ(parent->at(0, 0).AsInteger(), 1);
@@ -135,10 +161,9 @@ TEST(DatabaseTest, LoadCsvTypedAndNulls) {
 
 TEST(DatabaseTest, LoadCsvRejectsHeaderMismatch) {
   auto db = Database::Create(MakeSchema());
-  CsvDocument doc;
-  doc.header = {"wrong", "name"};
-  doc.rows = {};
-  EXPECT_FALSE(db->LoadCsv("parent", doc).ok());
+  EXPECT_FALSE(db->CheckCsvHeader("parent", {"wrong", "name"}).ok());
+  EXPECT_FALSE(db->CheckCsvHeader("parent", {"id"}).ok());
+  EXPECT_TRUE(db->CheckCsvHeader("parent", {"id", "name"}).ok());
 }
 
 TEST(DatabaseTest, CsvRoundTrip) {
@@ -152,7 +177,8 @@ TEST(DatabaseTest, CsvRoundTrip) {
   ASSERT_TRUE(exported.ok());
 
   auto db2 = Database::Create(MakeSchema());
-  ASSERT_TRUE(db2->LoadCsv("parent", *exported).ok());
+  ASSERT_TRUE(db2->CheckCsvHeader("parent", exported->header).ok());
+  ASSERT_TRUE(db2->LoadCsv("parent", exported->rows).ok());
   const Table* reloaded = *db2->table("parent");
   EXPECT_EQ(reloaded->at(0, 1).AsText(), "x, y");
   EXPECT_TRUE(reloaded->at(1, 1).is_null());

@@ -142,7 +142,7 @@ TEST_F(DedupFuzzTest, HundredSeedsRunCleanlyWithAggregateRecallFloor) {
   for (uint64_t seed = 1; seed <= 100; ++seed) {
     auto fuzzed = FuzzScenario(seed);
     ASSERT_TRUE(fuzzed.ok()) << "seed " << seed << ": " << fuzzed.status();
-    auto result = engine.Run(fuzzed->scenario, ExpectedQuality::kHighQuality);
+    auto result = engine.Run(fuzzed->scenario);
     ASSERT_TRUE(result.ok()) << "seed " << seed << ": " << result.status();
     EXPECT_FALSE(result->degraded) << "seed " << seed;
     for (const ModuleRun& run : result->module_runs) {
@@ -244,7 +244,7 @@ TEST_F(DedupFuzzTest, DedupTasksSurfaceInJsonExportAndTotals) {
   ASSERT_FALSE(fuzzed->injected_clusters.empty());
 
   EfesEngine engine = MakeDefaultEngine();
-  auto result = engine.Run(fuzzed->scenario, ExpectedQuality::kHighQuality);
+  auto result = engine.Run(fuzzed->scenario);
   ASSERT_TRUE(result.ok()) << result.status();
 
   bool has_dedup_task = false;

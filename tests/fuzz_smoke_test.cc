@@ -46,7 +46,7 @@ TEST(FuzzSmokeTest, EveryCorpusSeedRunsCleanlyThroughTheDefaultEngine) {
     auto fuzzed = FuzzScenario(seed);
     ASSERT_TRUE(fuzzed.ok()) << "seed " << seed << ": " << fuzzed.status();
     ASSERT_TRUE(fuzzed->scenario.Validate().ok()) << "seed " << seed;
-    auto result = engine.Run(fuzzed->scenario, ExpectedQuality::kHighQuality);
+    auto result = engine.Run(fuzzed->scenario);
     ASSERT_TRUE(result.ok()) << "seed " << seed << ": " << result.status();
     EXPECT_FALSE(result->degraded) << "seed " << seed;
     EXPECT_GT(result->estimate.TotalMinutes(), 0.0) << "seed " << seed;

@@ -76,7 +76,7 @@ class JsonExportTest : public ::testing::Test {
     ASSERT_TRUE(scenario.ok());
     EfesEngine engine = MakeDefaultEngine();
     auto result =
-        engine.Run(*scenario, ExpectedQuality::kHighQuality);
+        engine.Run(*scenario);
     ASSERT_TRUE(result.ok());
     json_ = std::make_unique<std::string>(EstimationResultToJson(*result));
   }

@@ -440,52 +440,6 @@ TEST(MetricNameTest, SuppressionWithReasonSilences) {
   EXPECT_TRUE(FindingsOf(findings, "metric-name").empty());
 }
 
-// -------------------------------------------------- whole-column-profile
-
-TEST(WholeColumnProfileTest, FlagsDeprecatedApiOutsideProfiling) {
-  auto findings = Lint(
-      {{"src/efes/matching/x.cc",
-        "void F(const std::vector<Value>& column) {\n"
-        "  AttributeStatistics s = ComputeStatistics(column, "
-        "DataType::kText);\n"
-        "  std::vector<ColumnStatisticsRequest> requests;\n"
-        "  auto batch = ComputeStatisticsBatch(requests);\n"
-        "}\n"}});
-  EXPECT_EQ(FindingsOf(findings, "whole-column-profile").size(), 3u);
-}
-
-TEST(WholeColumnProfileTest, ProfilingModuleAndSketchApiAreClean) {
-  // The declaring module keeps the deprecated wrapper; everyone else is
-  // clean when using the chunked ProfileColumn path.
-  EXPECT_TRUE(
-      FindingsOf(
-          Lint({{"src/efes/profiling/statistics.cc",
-                 "AttributeStatistics ComputeStatistics(\n"
-                 "    const std::vector<Value>& column, DataType t) {\n"
-                 "  return {};\n"
-                 "}\n"}}),
-          "whole-column-profile")
-          .empty());
-  EXPECT_TRUE(
-      FindingsOf(
-          Lint({{"src/efes/matching/x.cc",
-                 "void F(const std::vector<Value>& column) {\n"
-                 "  auto s = ProfileColumn(column, DataType::kText);\n"
-                 "}\n"}}),
-          "whole-column-profile")
-          .empty());
-}
-
-TEST(WholeColumnProfileTest, SuppressionWithReasonSilences) {
-  auto findings = Lint(
-      {{"tests/statistics_test.cc",
-        "void F(const std::vector<Value>& column) {\n"
-        "  // EFES_LINT_ALLOW(whole-column-profile): wrapper coverage\n"
-        "  auto s = ComputeStatistics(column, DataType::kText);\n"
-        "}\n"}});
-  EXPECT_TRUE(FindingsOf(findings, "whole-column-profile").empty());
-}
-
 // ------------------------------------------------------- bad-suppression
 
 TEST(BadSuppressionTest, MissingReasonIsAFinding) {
@@ -531,10 +485,8 @@ TEST(RenderTest, TextAndJsonCarryFindings) {
 
 TEST(RenderTest, CheckCatalogIsStable) {
   const auto& ids = AllCheckIds();
-  EXPECT_EQ(ids.size(), 10u);
+  EXPECT_EQ(ids.size(), 9u);
   EXPECT_NE(std::find(ids.begin(), ids.end(), "metric-name"), ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "whole-column-profile"),
-            ids.end());
   EXPECT_NE(std::find(ids.begin(), ids.end(), "unbounded-wait"), ids.end());
   EXPECT_NE(std::find(ids.begin(), ids.end(), "discarded-status"),
             ids.end());

@@ -136,7 +136,7 @@ TEST(CostBenefitTest, PaperExampleCurveIsMonotone) {
   auto scenario = MakePaperExample();
   ASSERT_TRUE(scenario.ok());
   EfesEngine engine = MakeDefaultEngine();
-  auto result = engine.Run(*scenario, ExpectedQuality::kHighQuality);
+  auto result = engine.Run(*scenario);
   ASSERT_TRUE(result.ok());
   CostBenefitCurve curve = AnalyzeCostBenefit(result->estimate);
   ASSERT_FALSE(curve.points.empty());

@@ -154,9 +154,9 @@ TEST_F(ScenarioIoTest, LoadedScenarioEstimatesIdentically) {
 
   EfesEngine engine = MakeDefaultEngine();
   auto original_estimate =
-      engine.Run(*original, ExpectedQuality::kHighQuality);
+      engine.Run(*original);
   auto loaded_estimate =
-      engine.Run(*loaded, ExpectedQuality::kHighQuality);
+      engine.Run(*loaded);
   ASSERT_TRUE(original_estimate.ok());
   ASSERT_TRUE(loaded_estimate.ok());
   EXPECT_DOUBLE_EQ(loaded_estimate->estimate.TotalMinutes(),
@@ -200,6 +200,25 @@ class LenientLoadTest : public ScenarioIoTest {
     LoadOptions options;
     options.mode = LoadOptions::Mode::kRecover;
     return options;
+  }
+
+  /// Replaces the source's albums table (id INTEGER, name TEXT,
+  /// artist_list INTEGER) with `body` under the given header line.
+  std::string WriteAlbums(const std::string& header, const std::string& body) {
+    const std::string path = source_dir_ + "/data/albums.csv";
+    EXPECT_TRUE(WriteFileAtomic(path, header + "\n" + body).ok());
+    return path;
+  }
+
+  static std::vector<std::string> Rendered(
+      const std::vector<DataIssue>& issues) {
+    std::vector<std::string> rendered;
+    for (const DataIssue& issue : issues) rendered.push_back(issue.ToString());
+    return rendered;
+  }
+
+  static size_t AlbumRows(const IntegrationScenario& scenario) {
+    return (*scenario.sources[0].database.table("albums"))->row_count();
   }
 
   std::string source_dir_;
@@ -269,6 +288,113 @@ TEST_F(LenientLoadTest, RepairsMalformedTableCsv) {
   EXPECT_FALSE(report.issues.empty());
 }
 
+TEST_F(LenientLoadTest, RepairBeforeCastErrorKeepsEarlierRows) {
+  const std::string albums = WriteAlbums("id,name,artist_list",
+                                         "1,First,1\n"
+                                         "2,Short\n"
+                                         "3,Third,1\n"
+                                         "x,Bad,1\n"
+                                         "5,After,1\n");
+
+  auto strict = LoadScenario(directory_);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().ToString(),
+            "parse error: CSV row 2 has 2 cells, expected 3 (" + albums + ")");
+
+  ScenarioLoadReport report;
+  auto loaded = LoadScenario(directory_, Recover(), &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(Rendered(report.issues),
+            (std::vector<std::string>{
+                "csv (row 2): short row padded from 2 to 3 cells",
+                "data (" + albums +
+                    "): table partially loaded: type mismatch: cannot cast "
+                    "x (text) to integer"}));
+  EXPECT_EQ(AlbumRows(*loaded), 3u);
+}
+
+TEST_F(LenientLoadTest, RowLimitAfterCastErrorSkipsTable) {
+  // Every other table of the fixture stays under the limit, so only the
+  // albums file trips it.
+  auto clean = LoadScenario(directory_);
+  ASSERT_TRUE(clean.ok());
+  for (const Table& table : clean->sources[0].database.tables()) {
+    ASSERT_LT(table.row_count(), 600u) << table.name();
+  }
+  for (const Table& table : clean->target.tables()) {
+    ASSERT_LT(table.row_count(), 600u) << table.name();
+  }
+  std::string body = "1,A,1\n2,B,1\nx,Bad,1\n";
+  for (int id = 4; id <= 1000; ++id) {
+    body += std::to_string(id) + ",N,1\n";
+  }
+  const std::string albums = WriteAlbums("id,name,artist_list", body);
+
+  LoadOptions options = Recover();
+  options.max_rows = 800;
+  ScenarioLoadReport report;
+  auto loaded = LoadScenario(directory_, options, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(Rendered(report.issues),
+            (std::vector<std::string>{
+                "data (" + albums +
+                "): table skipped: resource exhausted: CSV input exceeds the "
+                "row limit of 800 (" +
+                albums + ")"}));
+  EXPECT_EQ(AlbumRows(*loaded), 0u);
+}
+
+TEST_F(LenientLoadTest, ShapeErrorWinsOverHeaderMismatch) {
+  const std::string albums =
+      WriteAlbums("id,title,artist_list", "1,A,1\n2,B\n3,C,1\n");
+
+  auto strict = LoadScenario(directory_);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().ToString(),
+            "parse error: CSV row 2 has 2 cells, expected 3 (" + albums + ")");
+
+  ScenarioLoadReport report;
+  auto loaded = LoadScenario(directory_, Recover(), &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(Rendered(report.issues),
+            (std::vector<std::string>{
+                "csv (row 2): short row padded from 2 to 3 cells",
+                "data (" + albums +
+                    "): table partially loaded: invalid argument: CSV header "
+                    "column 'title' does not match attribute 'name'"}));
+  EXPECT_EQ(AlbumRows(*loaded), 0u);
+}
+
+TEST_F(LenientLoadTest, MultiChunkFileReportsErrorsInStreamOrder) {
+  // A file larger than one chunk (and one read block): the short row in
+  // the first chunk is seen before the unterminated quote, which only
+  // shows at end of file.
+  std::string body = "1,A,1\n2,Short\n";
+  const int last_id = static_cast<int>(2 * kLoadChunkRows);
+  for (int id = 3; id < last_id; ++id) {
+    body += std::to_string(id) + ",Album number " + std::to_string(id) +
+            ",1\n";
+  }
+  body += std::to_string(last_id) + ",Last,\"1";
+  ASSERT_GT(body.size(), size_t{1} << 16);
+  const std::string albums = WriteAlbums("id,name,artist_list", body);
+
+  auto strict = LoadScenario(directory_);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().ToString(),
+            "parse error: CSV row 2 has 2 cells, expected 3 (" + albums + ")");
+
+  ScenarioLoadReport report;
+  auto loaded = LoadScenario(directory_, Recover(), &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(Rendered(report.issues),
+            (std::vector<std::string>{
+                "csv (row 2): short row padded from 2 to 3 cells",
+                "csv (end of input): unterminated quoted field closed at end "
+                "of input"}));
+  EXPECT_EQ(AlbumRows(*loaded), 2 * kLoadChunkRows);
+}
+
 TEST_F(LenientLoadTest, CleanDirectoryIsNotDegraded) {
   ScenarioLoadReport report;
   auto loaded = LoadScenario(directory_, Recover(), &report);
@@ -284,6 +410,50 @@ TEST_F(LenientLoadTest, CleanDirectoryIsNotDegraded) {
             strict->sources[0].correspondences.size());
   EXPECT_EQ(loaded->sources[0].database.TotalRowCount(),
             strict->sources[0].database.TotalRowCount());
+}
+
+TEST_F(ScenarioIoTest, RoundTripLoadsTablesLargerThanOneChunk) {
+  Schema target_schema("t");
+  (void)target_schema.AddRelation(
+      RelationDef("t", {{"a", DataType::kText}}));
+  Schema source_schema("s");
+  (void)source_schema.AddRelation(
+      RelationDef("s", {{"id", DataType::kInteger},
+                        {"name", DataType::kText},
+                        {"score", DataType::kReal}}));
+  auto source = Database::Create(std::move(source_schema));
+  ASSERT_TRUE(source.ok());
+  Table* table = *source->mutable_table("s");
+  const size_t rows = 2 * kLoadChunkRows + 7;
+  for (size_t r = 0; r < rows; ++r) {
+    const int64_t id = static_cast<int64_t>(r);
+    ASSERT_TRUE(table
+                    ->AppendRow({Value::Integer(id),
+                                 r % 5 == 0 ? Value::Null()
+                                            : Value::Text("n, \"" +
+                                                          std::to_string(r) +
+                                                          "\"\nline"),
+                                 Value::Real(static_cast<double>(r) / 4)})
+                    .ok());
+  }
+  IntegrationScenario scenario(
+      "big", std::move(*Database::Create(std::move(target_schema))));
+  CorrespondenceSet correspondences;
+  correspondences.AddRelation("s", "t");
+  scenario.AddSource(std::move(*source), std::move(correspondences));
+  ASSERT_TRUE(SaveScenario(scenario, directory_).ok());
+
+  auto loaded = LoadScenario(directory_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Table* original = *scenario.sources[0].database.table("s");
+  const Table* reloaded = *loaded->sources[0].database.table("s");
+  ASSERT_EQ(reloaded->row_count(), rows);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < original->column_count(); ++c) {
+      ASSERT_EQ(reloaded->at(r, c), original->at(r, c)) << r << "," << c;
+      ASSERT_EQ(reloaded->at(r, c).type(), original->at(r, c).type());
+    }
+  }
 }
 
 TEST_F(ScenarioIoTest, EmptyTablesNeedNoCsvFiles) {

@@ -272,18 +272,20 @@ TEST(StatisticsTest, BatchMatchesSequentialForAnyThreadCount) {
       {Value::Null(), Value::Text("x"), Value::Null()},
       {},
   };
-  // EFES_LINT_ALLOW(whole-column-profile): deprecated-wrapper coverage
-  std::vector<ColumnStatisticsRequest> requests;
+  std::vector<ProfileRequest> requests;
   std::vector<DataType> types = {DataType::kText, DataType::kInteger,
                                  DataType::kText, DataType::kReal};
   for (size_t i = 0; i < columns.size(); ++i) {
-    // EFES_LINT_ALLOW(whole-column-profile): deprecated-wrapper coverage
-    requests.push_back(ColumnStatisticsRequest{&columns[i], types[i]});
+    requests.push_back(ProfileRequest{&columns[i], types[i]});
   }
+  // Exact and unchunked: each column is absorbed as one block.
+  ProfileOptions whole_column;
+  whole_column.chunk_rows = 0;
+  whole_column.max_memory_bytes = 0;
+  whole_column.mode = ApproximationMode::kExact;
   for (size_t threads : {1u, 4u}) {
     SetThreadCountOverride(threads);
-    // EFES_LINT_ALLOW(whole-column-profile): deprecated-wrapper coverage
-    auto batch = ComputeStatisticsBatch(requests);
+    auto batch = ProfileColumns(requests, whole_column);
     ASSERT_TRUE(batch.ok());
     ASSERT_EQ(batch->size(), requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -301,17 +303,6 @@ TEST(StatisticsTest, ToStringMentionsKeyFacts) {
   std::string text = stats.ToString();
   EXPECT_NE(text.find("patterns:"), std::string::npos);
   EXPECT_NE(text.find("9:9"), std::string::npos);
-}
-
-TEST(StatisticsTest, DeprecatedWrapperMatchesProfileColumn) {
-  // The one-shot wrapper is a shim over the sketch path, so its output
-  // must stay bit-identical to ProfileColumn under default options.
-  std::vector<Value> column = Texts({"4:43", "6:55", "1:02", "4:43", "x"});
-  // EFES_LINT_ALLOW(whole-column-profile): deprecated-wrapper coverage
-  AttributeStatistics wrapper = ComputeStatistics(column, DataType::kText);
-  auto profiled = ProfileColumn(column, DataType::kText);
-  ASSERT_TRUE(profiled.ok());
-  EXPECT_EQ(wrapper.ToString(), profiled->ToString());
 }
 
 TEST(StatisticTypeTest, Names) {

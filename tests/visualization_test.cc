@@ -21,7 +21,7 @@ class VisualizationTest : public ::testing::Test {
     scenario_ = std::make_unique<IntegrationScenario>(std::move(*scenario));
     EfesEngine engine = MakeDefaultEngine();
     auto result =
-        engine.Run(*scenario_, ExpectedQuality::kHighQuality);
+        engine.Run(*scenario_);
     ASSERT_TRUE(result.ok());
     result_ = std::make_unique<EstimationResult>(std::move(*result));
   }

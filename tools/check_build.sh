@@ -100,7 +100,7 @@ fi
 if [[ "$MODE" == "tsan" ]]; then
   BUILD_DIR="${1:-build-tsan}"
   cmake -B "$BUILD_DIR" -S . -DEFES_TSAN=ON
-  cmake --build "$BUILD_DIR" -j
+  cmake --build "$BUILD_DIR" -j "$(nproc)"
   # The threaded tests: the parallel layer itself, the end-to-end
   # determinism harness, and the telemetry registry it reports through.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j \
@@ -109,25 +109,25 @@ if [[ "$MODE" == "tsan" ]]; then
 elif [[ "$MODE" == "asan" ]]; then
   BUILD_DIR="${1:-build-asan}"
   cmake -B "$BUILD_DIR" -S . -DEFES_ASAN=ON
-  cmake --build "$BUILD_DIR" -j
+  cmake --build "$BUILD_DIR" -j "$(nproc)"
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j
   echo "check_build: OK (EFES_ASAN=ON, all tests passed)"
 elif [[ "$MODE" == "ubsan" ]]; then
   BUILD_DIR="${1:-build-ubsan}"
   cmake -B "$BUILD_DIR" -S . -DEFES_UBSAN=ON
-  cmake --build "$BUILD_DIR" -j
+  cmake --build "$BUILD_DIR" -j "$(nproc)"
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j
   echo "check_build: OK (EFES_UBSAN=ON, all tests passed)"
 elif [[ "$MODE" == "lint" ]]; then
   BUILD_DIR="${1:-build-lint}"
   cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j --target efes_lint
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target efes_lint
   "$BUILD_DIR/tools/efes_lint" --format=json src tools tests bench
   echo "check_build: OK (efes_lint, tree is lint-clean)"
 elif [[ "$MODE" == "analyze" ]]; then
   BUILD_DIR="${1:-build-lint}"
   cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j --target efes_lint --target efes_analyze
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target efes_lint --target efes_analyze
   "$BUILD_DIR/tools/efes_lint" --format=json src tools tests bench
   "$BUILD_DIR/tools/efes_analyze" --format=json --registry=docs/registry \
     src tools
@@ -135,7 +135,7 @@ elif [[ "$MODE" == "analyze" ]]; then
 elif [[ "$MODE" == "cache" ]]; then
   BUILD_DIR="${1:-build-cache}"
   cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j --target efes_cli
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target efes_cli
   WORK="$(mktemp -d)"
   trap 'rm -rf "$WORK"' EXIT
   "$BUILD_DIR/tools/efes" export-example "$WORK/scenario"
@@ -163,7 +163,7 @@ elif [[ "$MODE" == "cache" ]]; then
 elif [[ "$MODE" == "explain" ]]; then
   BUILD_DIR="${1:-build-cache}"
   cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j --target efes_cli
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target efes_cli
   WORK="$(mktemp -d)"
   trap 'rm -rf "$WORK"' EXIT
   "$BUILD_DIR/tools/efes" export-example "$WORK/scenario"
@@ -194,7 +194,7 @@ elif [[ "$MODE" == "explain" ]]; then
 elif [[ "$MODE" == "fuzz" ]]; then
   BUILD_DIR="${1:-build-cache}"
   cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j --target efes_fuzz
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target efes_fuzz
   WORK="$(mktemp -d)"
   trap 'rm -rf "$WORK"' EXIT
   # The corpus replay must not depend on how the work was scheduled:
@@ -219,7 +219,7 @@ elif [[ "$MODE" == "fuzz" ]]; then
 elif [[ "$MODE" == "serve" ]]; then
   BUILD_DIR="${1:-build-cache}"
   cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j --target efes_serve --target efes_cli
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target efes_serve --target efes_cli
   WORK="$(mktemp -d)"
   trap 'rm -rf "$WORK"' EXIT
   "$BUILD_DIR/tools/efes" export-example "$WORK/scenario"
@@ -345,7 +345,7 @@ EOF
 elif [[ "$MODE" == "scale" ]]; then
   BUILD_DIR="${1:-build-cache}"
   cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j --target efes_cli --target efes_fuzz
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target efes_cli --target efes_fuzz
   WORK="$(mktemp -d)"
   trap 'rm -rf "$WORK"' EXIT
   # A fuzz-generated source supplies realistic typed columns; awk
@@ -394,7 +394,7 @@ elif [[ "$MODE" == "scale" ]]; then
 else
   BUILD_DIR="${1:-build-werror}"
   cmake -B "$BUILD_DIR" -S . -DEFES_WERROR=ON
-  cmake --build "$BUILD_DIR" -j
+  cmake --build "$BUILD_DIR" -j "$(nproc)"
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j
   echo "check_build: OK (EFES_WERROR=ON, all tests passed)"
 fi

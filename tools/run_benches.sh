@@ -34,7 +34,7 @@ BUILD_DIR="${1:-build}"
 OUT="${BENCH_OUT:-BENCH_perf.json}"
 
 cmake -B "$BUILD_DIR" -S . >/dev/null
-cmake --build "$BUILD_DIR" -j --target \
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
   perf_csg perf_profiling perf_detectors perf_executor perf_dedup
 
 ARGS=()
