@@ -4,8 +4,19 @@
 
 namespace efes {
 
-Histogram::Histogram(std::vector<double> upper_bounds)
+std::string_view MetricUnitSymbol(MetricUnit unit) {
+  switch (unit) {
+    case MetricUnit::kMilliseconds:
+      return "ms";
+    case MetricUnit::kCount:
+      return "count";
+  }
+  return "unknown";
+}
+
+Histogram::Histogram(std::vector<double> upper_bounds, MetricUnit unit)
     : upper_bounds_(std::move(upper_bounds)),
+      unit_(unit),
       bucket_counts_(upper_bounds_.size() + 1) {
   for (auto& bucket : bucket_counts_) {
     bucket.store(0, std::memory_order_relaxed);
@@ -137,13 +148,14 @@ Gauge& MetricsRegistry::GetGauge(std::string_view name) {
 }
 
 Histogram& MetricsRegistry::GetHistogram(
-    std::string_view name, const std::vector<double>& upper_bounds) {
+    std::string_view name, const std::vector<double>& upper_bounds,
+    MetricUnit unit) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_
              .emplace(std::string(name),
-                      std::make_unique<Histogram>(upper_bounds))
+                      std::make_unique<Histogram>(upper_bounds, unit))
              .first;
   }
   return *it->second;
@@ -166,7 +178,8 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
                                    histogram->Sum(), histogram->Min(),
                                    histogram->Max(),
                                    histogram->upper_bounds(),
-                                   histogram->BucketCounts()});
+                                   histogram->BucketCounts(),
+                                   histogram->unit()});
   }
   return snapshot;
 }

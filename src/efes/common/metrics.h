@@ -57,11 +57,22 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+/// What a histogram's observations measure. Reports print the symbol
+/// after every value, and exports carry it.
+enum class MetricUnit {
+  kMilliseconds,
+  kCount,
+};
+
+/// "ms", "count".
+std::string_view MetricUnitSymbol(MetricUnit unit);
+
 /// Fixed-bucket histogram. Bucket i counts observations <= bounds[i];
 /// one implicit overflow bucket counts the rest. Observe() is lock-free.
 class Histogram {
  public:
-  explicit Histogram(std::vector<double> upper_bounds);
+  explicit Histogram(std::vector<double> upper_bounds,
+                     MetricUnit unit = MetricUnit::kMilliseconds);
 
   /// Default bucket bounds for millisecond latencies: 0.01ms .. 10s,
   /// roughly geometric.
@@ -76,11 +87,13 @@ class Histogram {
   double Max() const;
   const std::vector<double>& upper_bounds() const { return upper_bounds_; }
   std::vector<uint64_t> BucketCounts() const;
+  MetricUnit unit() const { return unit_; }
 
   void Reset();
 
  private:
   std::vector<double> upper_bounds_;
+  MetricUnit unit_;
   /// One count per bound plus the overflow bucket.
   std::vector<std::atomic<uint64_t>> bucket_counts_;
   std::atomic<uint64_t> count_{0};
@@ -109,6 +122,7 @@ struct MetricsSnapshot {
     double max = 0.0;
     std::vector<double> upper_bounds;
     std::vector<uint64_t> bucket_counts;
+    MetricUnit unit = MetricUnit::kMilliseconds;
 
     double Mean() const {
       return count == 0 ? 0.0 : sum / static_cast<double>(count);
@@ -143,11 +157,13 @@ class MetricsRegistry {
 
   Counter& GetCounter(std::string_view name);
   Gauge& GetGauge(std::string_view name);
-  /// `upper_bounds` is consulted only on first registration of `name`.
+  /// `upper_bounds` and `unit` are consulted only on first registration
+  /// of `name`.
   Histogram& GetHistogram(
       std::string_view name,
       const std::vector<double>& upper_bounds =
-          Histogram::DefaultLatencyBoundsMs());
+          Histogram::DefaultLatencyBoundsMs(),
+      MetricUnit unit = MetricUnit::kMilliseconds);
 
   MetricsSnapshot Snapshot() const;
 

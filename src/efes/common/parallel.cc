@@ -49,7 +49,8 @@ PoolTelemetry& Telemetry() {
         registry.GetCounter("parallel.items"),
         registry.GetCounter("parallel.pool.tasks_scheduled"),
         registry.GetGauge("parallel.pool.threads"),
-        registry.GetHistogram("parallel.pool.worker_items", item_bounds),
+        registry.GetHistogram("parallel.pool.worker_items", item_bounds,
+                              MetricUnit::kCount),
         registry.GetHistogram("parallel.pool.worker_busy_ms"),
         registry.GetHistogram("parallel.pool.worker_idle_ms"),
     };

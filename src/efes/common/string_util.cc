@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -35,16 +36,14 @@ std::string Join(const std::vector<std::string>& pieces,
 }
 
 std::string_view Trim(std::string_view input) {
+  // The "C" locale's isspace set, inline: Trim runs once per parsed cell.
+  auto is_space = [](char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  };
   size_t begin = 0;
   size_t end = input.size();
-  while (begin < end &&
-         std::isspace(static_cast<unsigned char>(input[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(input[end - 1]))) {
-    --end;
-  }
+  while (begin < end && is_space(input[begin])) ++begin;
+  while (end > begin && is_space(input[end - 1])) --end;
   return input.substr(begin, end - begin);
 }
 
@@ -67,30 +66,110 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
              0;
 }
 
+namespace {
+
+/// Trimmed text that is at most this long is NUL-terminated on the stack
+/// for strtoll/strtod; longer text falls back to a heap copy.
+constexpr size_t kParseBufferSize = 64;
+
+/// Calls `parse(c_str, size)` on a NUL-terminated copy of `text`.
+template <typename Parse>
+auto WithTerminatedCopy(std::string_view text, Parse parse) {
+  if (text.size() < kParseBufferSize) {
+    char buffer[kParseBufferSize];
+    std::memcpy(buffer, text.data(), text.size());
+    buffer[text.size()] = '\0';
+    return parse(buffer, text.size());
+  }
+  std::string buffer(text);
+  return parse(buffer.c_str(), buffer.size());
+}
+
+/// A plain decimal: sign, every digit as one integer, and how many of
+/// those digits follow the point.
+struct PlainDecimal {
+  bool negative = false;
+  uint64_t mantissa = 0;
+  int fraction_digits = 0;
+};
+
+/// Reads `text` as an optional sign and at most `max_digits` decimal
+/// digits, with a fraction when `allow_fraction`. Returns false (and
+/// strtoll/strtod decide) for anything else, so the fast path only ever
+/// sees input both functions read as plain decimal.
+bool ReadPlainDecimal(std::string_view text, size_t max_digits,
+                      bool allow_fraction, PlainDecimal* out) {
+  size_t i = 0;
+  if (i < text.size() && (text[i] == '+' || text[i] == '-')) {
+    out->negative = text[i] == '-';
+    ++i;
+  }
+  size_t digits = 0;
+  size_t integer_digits = 0;
+  bool seen_point = false;
+  for (; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c >= '0' && c <= '9') {
+      if (++digits > max_digits) return false;
+      out->mantissa = out->mantissa * 10 + static_cast<uint64_t>(c - '0');
+      if (seen_point) {
+        ++out->fraction_digits;
+      } else {
+        ++integer_digits;
+      }
+    } else if (c == '.' && allow_fraction && !seen_point) {
+      seen_point = true;
+    } else {
+      return false;
+    }
+  }
+  // "5." and ".5" parse under strtod but are left to it.
+  return integer_digits > 0 && (!seen_point || out->fraction_digits > 0);
+}
+
+}  // namespace
+
 std::optional<int64_t> ParseInt64(std::string_view text) {
   std::string_view trimmed = Trim(text);
   if (trimmed.empty()) return std::nullopt;
-  std::string buffer(trimmed);
-  errno = 0;
-  char* end = nullptr;
-  long long value = std::strtoll(buffer.c_str(), &end, 10);
-  if (errno == ERANGE || end != buffer.c_str() + buffer.size()) {
-    return std::nullopt;
+  // At most 18 digits cannot overflow int64, so the value is exact.
+  PlainDecimal plain;
+  if (ReadPlainDecimal(trimmed, 18, false, &plain)) {
+    const auto magnitude = static_cast<int64_t>(plain.mantissa);
+    return plain.negative ? -magnitude : magnitude;
   }
-  return static_cast<int64_t>(value);
+  return WithTerminatedCopy(
+      trimmed, [](const char* begin, size_t size) -> std::optional<int64_t> {
+        errno = 0;
+        char* end = nullptr;
+        long long value = std::strtoll(begin, &end, 10);
+        if (errno == ERANGE || end != begin + size) return std::nullopt;
+        return static_cast<int64_t>(value);
+      });
 }
 
 std::optional<double> ParseDouble(std::string_view text) {
   std::string_view trimmed = Trim(text);
   if (trimmed.empty()) return std::nullopt;
-  std::string buffer(trimmed);
-  errno = 0;
-  char* end = nullptr;
-  double value = std::strtod(buffer.c_str(), &end);
-  if (errno == ERANGE || end != buffer.c_str() + buffer.size()) {
-    return std::nullopt;
+  // At most 15 digits is below 2^53 and 10^15 is exact, so one IEEE
+  // division is the correctly rounded result strtod returns too.
+  PlainDecimal plain;
+  if (ReadPlainDecimal(trimmed, 15, true, &plain)) {
+    static constexpr double kPowersOfTen[] = {
+        1e0, 1e1, 1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+        1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15};
+    const double magnitude = static_cast<double>(plain.mantissa) /
+                             kPowersOfTen[plain.fraction_digits];
+    return plain.negative ? -magnitude : magnitude;
   }
-  return value;
+  return WithTerminatedCopy(
+      trimmed, [](const char* begin, size_t size) -> std::optional<double> {
+        errno = 0;
+        char* end = nullptr;
+        double value = std::strtod(begin, &end);
+        if (errno == ERANGE || end != begin + size) return std::nullopt;
+        return value;
+      });
 }
 
 std::string FormatDouble(double value, int precision) {

@@ -62,20 +62,6 @@ std::string DedupComplexityReport::ToText() const {
 
 namespace {
 
-/// Deterministic strided sample of at most `limit` values (0 = all).
-std::vector<Value> SampleColumn(const std::vector<Value>& column,
-                                size_t limit) {
-  if (limit == 0 || column.size() <= limit) return column;
-  std::vector<Value> sample;
-  sample.reserve(limit);
-  double stride = static_cast<double>(column.size()) /
-                  static_cast<double>(limit);
-  for (size_t i = 0; i < limit; ++i) {
-    sample.push_back(column[static_cast<size_t>(i * stride)]);
-  }
-  return sample;
-}
-
 /// One source relation contributing to a target relation.
 struct Feed {
   std::string label;  // "database:relation"
@@ -231,8 +217,9 @@ Result<std::unique_ptr<ComplexityReport>> DedupModule::AssessComplexity(
                 *feed.columns.at(attribute.name);
             EFES_ASSIGN_OR_RETURN(
                 AttributeStatistics feed_stats,
-                ProfileColumn(SampleColumn(column, options_.sample_limit),
-                              attribute.type));
+                ProfileColumn(
+                    ColumnSample(column, options_.sample_limit).values(),
+                    attribute.type));
             stats[ai].push_back(std::move(feed_stats));
           }
         }

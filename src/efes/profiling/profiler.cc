@@ -8,6 +8,8 @@
 #include "efes/common/clock.h"
 #include "efes/common/metrics.h"
 #include "efes/common/parallel.h"
+#include "efes/common/string_util.h"
+#include "efes/telemetry/trace.h"
 
 namespace efes {
 
@@ -174,6 +176,106 @@ Result<std::vector<AttributeStatistics>> ProfileColumns(
 Result<std::vector<AttributeStatistics>> ProfileColumns(
     const std::vector<ProfileRequest>& requests) {
   return ProfileColumns(requests, ActiveProfileOptions());
+}
+
+ColumnSample::ColumnSample(const std::vector<Value>& column, size_t limit)
+    : column_(&column) {
+  if (limit == 0 || column.size() <= limit) return;
+  sampled_ = true;
+  sample_.reserve(limit);
+  double stride = static_cast<double>(column.size()) /
+                  static_cast<double>(limit);
+  for (size_t i = 0; i < limit; ++i) {
+    sample_.push_back(column[static_cast<size_t>(i * stride)]);
+  }
+}
+
+Result<CsvProfile> ProfileCsvFile(const std::string& path,
+                                  const CsvReadOptions& csv_options,
+                                  const ProfileOptions& options) {
+  CsvProfile profile;
+
+  // Pass 1: type inference straight on the cell text (what
+  // Value::CanCastTo does for text, without boxing the cell).
+  {
+    TraceSpan span("profiling.csv.type_infer");
+    EFES_ASSIGN_OR_RETURN(
+        ChunkedCsvReader reader,
+        ChunkedCsvReader::Open(path, csv_options, options.chunk_rows));
+    profile.header = reader.header();
+    const size_t width = profile.header.size();
+    std::vector<char> all_integer(width, 1);
+    std::vector<char> all_real(width, 1);
+    std::vector<char> saw_value(width, 0);
+    while (!reader.done()) {
+      EFES_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> chunk,
+                            reader.NextChunk());
+      profile.row_count += chunk.size();
+      for (const std::vector<std::string>& row : chunk) {
+        for (size_t c = 0; c < row.size(); ++c) {
+          const std::string& cell = row[c];
+          if (cell.empty()) continue;
+          saw_value[c] = 1;
+          if (!all_integer[c] && !all_real[c]) continue;
+          // Text strtoll reads whole (base 10, in range) is plain decimal
+          // that strtod reads whole too: one parse settles both.
+          if (all_integer[c] && ParseInt64(cell).has_value()) continue;
+          all_integer[c] = 0;
+          if (all_real[c] && !ParseDouble(cell).has_value()) all_real[c] = 0;
+        }
+      }
+    }
+    profile.types.assign(width, DataType::kText);
+    for (size_t c = 0; c < width; ++c) {
+      if (!saw_value[c]) continue;
+      if (all_integer[c]) {
+        profile.types[c] = DataType::kInteger;
+      } else if (all_real[c]) {
+        profile.types[c] = DataType::kReal;
+      }
+    }
+  }
+
+  // Pass 2: each chunk is absorbed column-parallel into fresh partial
+  // sketches, which fold into the column accumulators in chunk order;
+  // per-column state evolves identically at any thread count.
+  const size_t width = profile.header.size();
+  std::vector<StatisticsSketch> columns;
+  columns.reserve(width);
+  for (size_t c = 0; c < width; ++c) {
+    columns.emplace_back(profile.types[c], options);
+  }
+  {
+    TraceSpan span("profiling.csv.absorb");
+    EFES_ASSIGN_OR_RETURN(
+        ChunkedCsvReader reader,
+        ChunkedCsvReader::Open(path, csv_options, options.chunk_rows));
+    while (!reader.done()) {
+      EFES_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> chunk,
+                            reader.NextChunk());
+      if (chunk.empty()) break;
+      EFES_RETURN_IF_ERROR(ParallelFor(width, [&](size_t c) -> Status {
+        StatisticsSketch chunk_sketch(profile.types[c], options);
+        for (std::vector<std::string>& row : chunk) {
+          std::string& cell = row[c];
+          EFES_RETURN_IF_ERROR(chunk_sketch.Absorb(
+              cell.empty() ? Value::Null() : Value::Text(std::move(cell))));
+        }
+        return columns[c].Merge(chunk_sketch);
+      }));
+    }
+  }
+
+  TraceSpan span("profiling.csv.finalize");
+  profile.statistics.resize(width);
+  EFES_RETURN_IF_ERROR(ParallelFor(width, [&](size_t c) -> Status {
+    profile.statistics[c] = columns[c].Finalize();
+    return Status::OK();
+  }));
+  for (const StatisticsSketch& sketch : columns) {
+    profile.modes.push_back(sketch.effective_mode());
+  }
+  return profile;
 }
 
 }  // namespace efes

@@ -20,12 +20,17 @@
 // via ScopedProfileOptions (installed by EfesEngine::Run from
 // RunOptions::profile, and by the CLI from --chunk-rows / --max-memory
 // / --approx).
+//
+// ProfileCsvFile is the streaming entry point behind `efes profile`: it
+// profiles a CSV file chunk by chunk without ever holding it whole.
 
 #ifndef EFES_PROFILING_PROFILER_H_
 #define EFES_PROFILING_PROFILER_H_
 
+#include <string>
 #include <vector>
 
+#include "efes/common/csv.h"
 #include "efes/common/result.h"
 #include "efes/profiling/sketch.h"
 #include "efes/profiling/statistics.h"
@@ -76,6 +81,45 @@ Result<std::vector<AttributeStatistics>> ProfileColumns(
     const ProfileOptions& options);
 Result<std::vector<AttributeStatistics>> ProfileColumns(
     const std::vector<ProfileRequest>& requests);
+
+/// A column, or a deterministic strided sample of at most `limit` of its
+/// values (0 = all). Views the column in place and copies values only
+/// when it really samples. The column must outlive the sample.
+class ColumnSample {
+ public:
+  ColumnSample(const std::vector<Value>& column, size_t limit);
+
+  const std::vector<Value>& values() const {
+    return sampled_ ? sample_ : *column_;
+  }
+
+ private:
+  const std::vector<Value>* column_;
+  std::vector<Value> sample_;
+  bool sampled_ = false;
+};
+
+/// The streamed profile of one CSV file, per column in header order.
+struct CsvProfile {
+  std::vector<std::string> header;
+  size_t row_count = 0;
+  /// Inferred target type: integer when every non-empty cell parses as
+  /// an integer, else real when every one parses as a real, else text.
+  std::vector<DataType> types;
+  std::vector<AttributeStatistics> statistics;
+  /// kSketch where the column's sketch coarsened under the budget.
+  std::vector<ApproximationMode> modes;
+};
+
+/// Profiles the CSV file at `path` in two streaming passes over
+/// `options.chunk_rows`-row chunks: pass 1 infers each column's type,
+/// pass 2 absorbs every chunk into per-column partial sketches
+/// (column-parallel) and merges them into one sketch per column in chunk
+/// order; the columns then finalize in parallel. The result is
+/// byte-identical for any thread count and any chunk size.
+Result<CsvProfile> ProfileCsvFile(const std::string& path,
+                                  const CsvReadOptions& csv_options,
+                                  const ProfileOptions& options);
 
 }  // namespace efes
 

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <optional>
 #include <sstream>
 
 #include "efes/cache/fingerprint.h"
+#include "efes/common/string_util.h"
 
 namespace efes {
 
@@ -23,25 +26,57 @@ bool IsNumericTarget(DataType type) {
 }
 
 /// The numeric reading the legacy statistics used: numerics directly,
-/// text only when it parses completely; booleans are not numeric.
+/// text only when it parses completely; booleans are not numeric. One
+/// ParseDouble is what Value::CanCastTo(kReal) and CastTo both decide by.
 std::optional<double> NumericOf(const Value& value) {
-  if (value.type() == DataType::kInteger ||
-      value.type() == DataType::kReal) {
-    return value.NumericValue();
+  switch (value.type()) {
+    case DataType::kInteger:
+    case DataType::kReal:
+      return value.NumericValue();
+    case DataType::kText:
+      return ParseDouble(value.AsText());
+    default:
+      return std::nullopt;
   }
-  if (value.CanCastTo(DataType::kReal)) {
-    Result<Value> cast = value.CastTo(DataType::kReal);
-    if (cast.ok()) return cast->AsReal();
-  }
-  return std::nullopt;
 }
 
-/// Budget cost of one tracked map entry: node + key/count overhead plus
-/// the owned text bytes. A deterministic model, not malloc truth.
+/// Budget cost of one tracked entry: slot + key/count overhead plus the
+/// owned text bytes. A deterministic model, not malloc truth.
 uint64_t EntryCost(const Value& value) {
   uint64_t cost = 64;
   if (value.type() == DataType::kText) cost += value.AsText().size();
   return cost;
+}
+
+uint64_t Fmix64(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+/// Slot-probe hash; equal values (Value::operator==) probe alike. Text
+/// equality is byte equality, so the stored content hash serves; numerics
+/// hash their double value with -0.0 folded into 0.0, because 3 == 3.0
+/// and -0.0 == 0 although their content hashes differ. A NaN equals
+/// nothing, so wherever it probes it appends its own entry.
+uint64_t ProbeHash(const Value& value, uint64_t content_hash) {
+  switch (value.type()) {
+    case DataType::kInteger:
+    case DataType::kReal: {
+      double number = value.NumericValue();
+      if (number == 0.0) number = 0.0;
+      uint64_t bits = 0;
+      std::memcpy(&bits, &number, sizeof(bits));
+      return Fmix64(bits);
+    }
+    case DataType::kBoolean:
+      return value.AsBoolean() ? 1 : 2;
+    default:
+      return content_hash;
+  }
 }
 
 }  // namespace
@@ -76,13 +111,7 @@ uint64_t SketchValueHash(const Value& value) {
   // finalizer makes every digest bit diffuse; without it, small-integer
   // columns leave almost no survivors at level 1 and the distinct
   // estimate collapses.
-  uint64_t h = fp.digest();
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ull;
-  h ^= h >> 33;
-  return h;
+  return Fmix64(fp.digest());
 }
 
 StatisticsSketch::StatisticsSketch(DataType target_type,
@@ -101,28 +130,84 @@ Status StatisticsSketch::Absorb(const Value& value) {
     ++null_count_;
     return Status::OK();
   }
-  if (!value.CanCastTo(target_type_)) ++uncastable_count_;
-  if (IsNumericTarget(target_type_)) {
-    if (std::optional<double> num = NumericOf(value)) {
-      if (numeric_count_ == 0) {
-        numeric_min_ = numeric_max_ = *num;
-      } else {
-        numeric_min_ = std::min(numeric_min_, *num);
-        numeric_max_ = std::max(numeric_max_, *num);
-      }
-      ++numeric_count_;
+  std::optional<double> number;
+  bool castable = false;
+  if (IsNumericTarget(target_type_) && value.type() == DataType::kText) {
+    // One ParseDouble gives both the numeric reading and real
+    // castability; ParseInt64 runs only to decide integer castability.
+    number = ParseDouble(value.AsText());
+    castable = target_type_ == DataType::kReal
+                   ? number.has_value()
+                   : ParseInt64(value.AsText()).has_value();
+  } else {
+    castable = value.CanCastTo(target_type_);
+    if (IsNumericTarget(target_type_)) number = NumericOf(value);
+  }
+  if (!castable) ++uncastable_count_;
+  if (number) {
+    if (numeric_count_ == 0) {
+      numeric_min_ = numeric_max_ = *number;
+    } else {
+      numeric_min_ = std::min(numeric_min_, *number);
+      numeric_max_ = std::max(numeric_max_, *number);
     }
+    ++numeric_count_;
   }
   const uint64_t hash = SketchValueHash(value);
   if (!Tracks(hash)) return Status::OK();
-  auto [it, inserted] =
-      tracked_.try_emplace(value, std::pair<uint64_t, uint64_t>(0, hash));
-  ++it->second.first;
-  if (inserted) {
-    tracked_bytes_ += EntryCost(value);
-    return EnforceBudget();
+  const size_t before = entries_.size();
+  const size_t index = FindOrInsert(value, hash);
+  ++entries_[index].count;
+  return entries_.size() > before ? EnforceBudget() : Status::OK();
+}
+
+size_t StatisticsSketch::FindOrInsert(const Value& value, uint64_t hash) {
+  if (2 * (entries_.size() + 1) > slots_.size()) {
+    Rehash(std::max<size_t>(16, 2 * slots_.size()));
   }
-  return Status::OK();
+  const size_t mask = slots_.size() - 1;
+  const bool text = value.type() == DataType::kText;
+  for (size_t i = ProbeHash(value, hash) & mask;; i = (i + 1) & mask) {
+    const uint32_t slot = slots_[i];
+    if (slot == kEmptySlot) {
+      slots_[i] = static_cast<uint32_t>(entries_.size());
+      tracked_bytes_ += EntryCost(value);
+      entries_.push_back(Entry{value, 0, hash});
+      return entries_.size() - 1;
+    }
+    const Entry& entry = entries_[slot];
+    // Equal text has equal content hashes: compare bytes only then.
+    if (text ? entry.hash == hash &&
+                   entry.value.type() == DataType::kText &&
+                   entry.value.AsText() == value.AsText()
+             : entry.value == value) {
+      return slot;
+    }
+  }
+}
+
+void StatisticsSketch::Rehash(size_t slot_count) {
+  slots_.assign(slot_count, kEmptySlot);
+  const size_t mask = slot_count - 1;
+  for (size_t e = 0; e < entries_.size(); ++e) {
+    size_t i = ProbeHash(entries_[e].value, entries_[e].hash) & mask;
+    while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(e);
+  }
+}
+
+void StatisticsSketch::DropUntracked() {
+  size_t kept = 0;
+  for (size_t e = 0; e < entries_.size(); ++e) {
+    if (!Tracks(entries_[e].hash)) {
+      tracked_bytes_ -= EntryCost(entries_[e].value);
+    } else {
+      if (kept != e) entries_[kept] = std::move(entries_[e]);
+      ++kept;
+    }
+  }
+  entries_.resize(kept);
+  Rehash(slots_.size());
 }
 
 Status StatisticsSketch::AbsorbRange(const std::vector<Value>& column,
@@ -157,21 +242,14 @@ Status StatisticsSketch::Merge(const StatisticsSketch& other) {
   if (other.level_ > level_) {
     // Adopt the coarser threshold, dropping our now-untracked values.
     level_ = other.level_;
-    for (auto it = tracked_.begin(); it != tracked_.end();) {
-      if (Tracks(it->second.second)) {
-        ++it;
-      } else {
-        tracked_bytes_ -= EntryCost(it->first);
-        it = tracked_.erase(it);
-      }
-    }
+    DropUntracked();
   }
-  for (const auto& [value, entry] : other.tracked_) {
-    if (!Tracks(entry.second)) continue;
-    auto [it, inserted] = tracked_.try_emplace(
-        value, std::pair<uint64_t, uint64_t>(0, entry.second));
-    it->second.first += entry.first;
-    if (inserted) tracked_bytes_ += EntryCost(value);
+  // By index: a self-merge may append (a NaN equals nothing).
+  for (size_t e = 0, n = other.entries_.size(); e < n; ++e) {
+    const uint64_t hash = other.entries_[e].hash;
+    const uint64_t count = other.entries_[e].count;
+    if (!Tracks(hash)) continue;
+    entries_[FindOrInsert(other.entries_[e].value, hash)].count += count;
   }
   return EnforceBudget();
 }
@@ -191,14 +269,7 @@ Status StatisticsSketch::EnforceBudget() {
       return Status::ResourceExhausted(oss.str());
     }
     ++level_;
-    for (auto it = tracked_.begin(); it != tracked_.end();) {
-      if (Tracks(it->second.second)) {
-        ++it;
-      } else {
-        tracked_bytes_ -= EntryCost(it->first);
-        it = tracked_.erase(it);
-      }
-    }
+    DropUntracked();
   }
   return Status::OK();
 }
@@ -211,6 +282,36 @@ ApproximationMode StatisticsSketch::effective_mode() const {
   return level_ == 0 ? ApproximationMode::kExact : ApproximationMode::kSketch;
 }
 
+std::vector<uint32_t> StatisticsSketch::SortedEntries() const {
+  // Sort contiguous keys: the first 8 bytes of a text value, big-endian
+  // and zero-padded, order text exactly as its bytes do, and text sorts
+  // above every other type, which all key 0. Only equal keys compare the
+  // values themselves.
+  struct Key {
+    uint64_t prefix;
+    uint32_t index;
+  };
+  std::vector<Key> keys(entries_.size());
+  for (size_t e = 0; e < entries_.size(); ++e) {
+    uint64_t prefix = 0;
+    if (entries_[e].value.type() == DataType::kText) {
+      const std::string& text = entries_[e].value.AsText();
+      for (size_t i = 0; i < 8; ++i) {
+        prefix = (prefix << 8) |
+                 (i < text.size() ? static_cast<unsigned char>(text[i]) : 0);
+      }
+    }
+    keys[e] = Key{prefix, static_cast<uint32_t>(e)};
+  }
+  std::sort(keys.begin(), keys.end(), [this](const Key& a, const Key& b) {
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    return entries_[a.index].value < entries_[b.index].value;
+  });
+  std::vector<uint32_t> order(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) order[i] = keys[i].index;
+  return order;
+}
+
 AttributeStatistics StatisticsSketch::Finalize() const {
   AttributeStatistics stats;
   stats.evaluated_against = target_type_;
@@ -221,23 +322,18 @@ AttributeStatistics StatisticsSketch::Finalize() const {
   stats.fill_status.uncastable_count = static_cast<size_t>(uncastable_count_);
   const uint64_t non_null = total_count_ - null_count_;
 
-  // Canonical iteration order: sorted by value, regardless of how the
-  // unordered tracking map hashed. This is what makes Finalize a pure
-  // function of the sketch state.
-  std::vector<std::pair<const Value*, uint64_t>> sorted;
-  sorted.reserve(tracked_.size());
+  // Canonical iteration order: entry indices sorted by value, whatever
+  // order the values were inserted in. This is what makes Finalize a
+  // pure function of the sketch state. Every pass below walks it once
+  // and copies no value.
+  const std::vector<uint32_t> sorted = SortedEntries();
   uint64_t sample_total = 0;
-  for (const auto& [value, entry] : tracked_) {
-    sorted.emplace_back(&value, entry.first);
-    sample_total += entry.first;
-  }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  for (const Entry& entry : entries_) sample_total += entry.count;
 
   // Inverse sampling rate: each distinct value is tracked with
   // probability 2^-level, with an exact count when it is.
   const double scale = std::ldexp(1.0, static_cast<int>(level_));
-  uint64_t distinct_estimate = tracked_.size();
+  uint64_t distinct_estimate = entries_.size();
   for (uint32_t l = 0; l < level_; ++l) {
     if (distinct_estimate > (UINT64_MAX >> 1)) break;
     distinct_estimate <<= 1;
@@ -248,8 +344,9 @@ AttributeStatistics StatisticsSketch::Finalize() const {
   stats.constancy.distinct_count = static_cast<size_t>(distinct_estimate);
   if (non_null > 0 && distinct_estimate > 1) {
     double entropy = 0.0;
-    for (const auto& [value, count] : sorted) {
-      double p = static_cast<double>(count) / static_cast<double>(non_null);
+    for (uint32_t index : sorted) {
+      double p = static_cast<double>(entries_[index].count) /
+                 static_cast<double>(non_null);
       entropy -= p * std::log2(p);
     }
     entropy *= scale;
@@ -261,46 +358,72 @@ AttributeStatistics StatisticsSketch::Finalize() const {
     stats.constancy.constancy = 1.0;  // empty or single-valued
   }
 
-  // --- Top-k: tracked counts are exact global frequencies. ----------------
+  // --- Top-k: tracked counts are exact global frequencies. Ranked by
+  // (frequency desc, value asc) with a bounded insertion over the
+  // canonical order: a later entry has the larger value, so it enters
+  // only behind every kept entry at least as frequent. ---------------------
   {
-    std::vector<std::pair<Value, double>> ranked;
-    ranked.reserve(sorted.size());
-    for (const auto& [value, count] : sorted) {
-      ranked.emplace_back(*value,
-                          non_null == 0 ? 0.0
-                                        : static_cast<double>(count) /
-                                              static_cast<double>(non_null));
+    std::vector<std::pair<uint32_t, double>> best;  // (entry, frequency)
+    best.reserve(TopKStats::kK + 1);
+    for (uint32_t index : sorted) {
+      const double freq =
+          non_null == 0 ? 0.0
+                        : static_cast<double>(entries_[index].count) /
+                              static_cast<double>(non_null);
+      if (best.size() == TopKStats::kK && !(freq > best.back().second)) {
+        continue;
+      }
+      auto at = std::find_if(best.begin(), best.end(), [freq](const auto& b) {
+        return freq > b.second;
+      });
+      best.insert(at, {index, freq});
+      if (best.size() > TopKStats::kK) best.pop_back();
     }
-    std::sort(ranked.begin(), ranked.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;  // deterministic tie-break
-              });
-    if (ranked.size() > TopKStats::kK) ranked.resize(TopKStats::kK);
-    stats.top_k.top_values = std::move(ranked);
+    stats.top_k.top_values.reserve(best.size());
     stats.top_k.coverage = 0.0;
-    for (const auto& [value, freq] : stats.top_k.top_values) {
+    for (const auto& [index, freq] : best) {
+      stats.top_k.top_values.emplace_back(entries_[index].value, freq);
       stats.top_k.coverage += freq;
     }
   }
 
   // --- String-directed statistics (ratio estimates over the sample;
-  // exact at level 0 where the sample is the whole column). ----------------
+  // exact at level 0 where the sample is the whole column). Each
+  // distinct value's text, pattern and length are computed once; text
+  // values are read in place. --------------------------------------------
   if (target_type_ == DataType::kText) {
     std::map<std::string, uint64_t> pattern_counts;
+    auto last_pattern = pattern_counts.end();
     // Flat 256-slot histogram instead of a tree map in the hot loop:
     // branch-free, cache-resident, and iterated over *distinct* values
     // only — duplicates cost one integer add, not a re-scan.
     std::array<uint64_t, 256> char_counts{};
     uint64_t total_chars = 0;
     double length_sum = 0.0;
-    for (const auto& [value, count] : sorted) {
-      std::string text = value->ToString();
-      pattern_counts[GeneralizeToPattern(text)] += count;
-      for (unsigned char c : text) char_counts[c] += count;
-      total_chars += count * text.size();
-      length_sum += static_cast<double>(count) *
+    std::vector<size_t> lengths;
+    lengths.reserve(sorted.size());
+    std::string rendered;
+    for (uint32_t index : sorted) {
+      const Entry& entry = entries_[index];
+      std::string_view text;
+      if (entry.value.type() == DataType::kText) {
+        text = entry.value.AsText();
+      } else {
+        rendered = entry.value.ToString();
+        text = rendered;
+      }
+      // Neighbours in value order mostly share a pattern: reuse its node.
+      std::string pattern = GeneralizeToPattern(text);
+      if (last_pattern == pattern_counts.end() ||
+          last_pattern->first != pattern) {
+        last_pattern = pattern_counts.try_emplace(std::move(pattern)).first;
+      }
+      last_pattern->second += entry.count;
+      for (unsigned char c : text) char_counts[c] += entry.count;
+      total_chars += entry.count * text.size();
+      length_sum += static_cast<double>(entry.count) *
                     static_cast<double>(text.size());
+      lengths.push_back(text.size());
     }
 
     const double denom = static_cast<double>(sample_total);
@@ -332,9 +455,9 @@ AttributeStatistics StatisticsSketch::Finalize() const {
 
     double mean = sample_total == 0 ? 0.0 : length_sum / denom;
     double variance = 0.0;
-    for (const auto& [value, count] : sorted) {
-      double d = static_cast<double>(value->ToString().size()) - mean;
-      variance += static_cast<double>(count) * d * d;
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      double d = static_cast<double>(lengths[i]) - mean;
+      variance += static_cast<double>(entries_[sorted[i]].count) * d * d;
     }
     if (sample_total > 0) variance /= denom;
     stats.string_length = StringLengthStats{mean, std::sqrt(variance)};
@@ -346,10 +469,11 @@ AttributeStatistics StatisticsSketch::Finalize() const {
     std::vector<std::pair<double, uint64_t>> numbers;
     numbers.reserve(sorted.size());
     uint64_t sample_numeric = 0;
-    for (const auto& [value, count] : sorted) {
-      if (std::optional<double> num = NumericOf(*value)) {
-        numbers.emplace_back(*num, count);
-        sample_numeric += count;
+    for (uint32_t index : sorted) {
+      const Entry& entry = entries_[index];
+      if (std::optional<double> num = NumericOf(entry.value)) {
+        numbers.emplace_back(*num, entry.count);
+        sample_numeric += entry.count;
       }
     }
     const double denom = static_cast<double>(sample_numeric);
@@ -401,12 +525,10 @@ SketchState StatisticsSketch::ExportState() const {
   state.numeric_count = numeric_count_;
   state.numeric_min = numeric_min_;
   state.numeric_max = numeric_max_;
-  state.entries.reserve(tracked_.size());
-  for (const auto& [value, entry] : tracked_) {
-    state.entries.emplace_back(value, entry.first);
+  state.entries.reserve(entries_.size());
+  for (uint32_t index : SortedEntries()) {
+    state.entries.emplace_back(entries_[index].value, entries_[index].count);
   }
-  std::sort(state.entries.begin(), state.entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return state;
 }
 
@@ -441,12 +563,12 @@ Result<StatisticsSketch> StatisticsSketch::FromState(
       return Status::InvalidArgument(
           "sketch state entry violates its sampling threshold");
     }
-    auto [it, inserted] = sketch.tracked_.try_emplace(
-        value, std::pair<uint64_t, uint64_t>(count, hash));
-    if (!inserted) {
+    const size_t before = sketch.entries_.size();
+    const size_t index = sketch.FindOrInsert(value, hash);
+    if (sketch.entries_.size() == before) {
       return Status::InvalidArgument("sketch state has duplicate entries");
     }
-    sketch.tracked_bytes_ += EntryCost(value);
+    sketch.entries_[index].count = count;
     non_null += count;
   }
   if (non_null > state.total_count - state.null_count ||

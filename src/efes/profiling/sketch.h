@@ -13,10 +13,14 @@
 // any --threads=N, any chunk size, and any merge order): every piece of
 // sketch state is a pure, order-independent function of the *multiset*
 // of absorbed values. Counters are integer sums, min/max are exact
-// scalars, and the value-frequency map is keyed by value — no float is
-// ever accumulated across chunks. All nine §5.1 statistics are derived
-// at Finalize() by iterating the map in sorted-value order, so two
-// sketches with equal state render bit-identical statistics.
+// scalars, and the value-frequency table is keyed by value — no float
+// is ever accumulated across chunks. All nine §5.1 statistics are
+// derived at Finalize() by iterating the table in sorted-value order, so
+// two sketches with equal state render bit-identical statistics.
+//
+// Storage is flat (DESIGN.md §16): one contiguous vector of {value,
+// count, content hash} entries plus an open-addressing array of uint32
+// entry indices, probed by a hash that agrees with Value::operator==.
 //
 // Approximation taxonomy (ProfileOptions::mode):
 //   * kExact  — the frequency map holds every distinct value. A
@@ -50,7 +54,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -113,7 +116,7 @@ class StatisticsSketch {
   StatisticsSketch(DataType target_type, const ProfileOptions& options);
 
   /// Absorbs one value. Fails with kResourceExhausted only in kExact
-  /// mode with a --max-memory budget the frequency map outgrew.
+  /// mode with a --max-memory budget the frequency table outgrew.
   [[nodiscard]] Status Absorb(const Value& value);
 
   /// Absorbs column[begin, end) — one streaming chunk.
@@ -137,7 +140,7 @@ class StatisticsSketch {
   /// kSketch once coarsening dropped values — what provenance records.
   ApproximationMode effective_mode() const;
   uint32_t level() const { return level_; }
-  size_t tracked_count() const { return tracked_.size(); }
+  size_t tracked_count() const { return entries_.size(); }
 
   /// State export/import for cache persistence. FromState re-validates
   /// the tracking invariant, so a mangled snapshot entry degrades to a
@@ -146,7 +149,26 @@ class StatisticsSketch {
   static Result<StatisticsSketch> FromState(const SketchState& state);
 
  private:
+  /// One distinct tracked value: the first representative absorbed (3
+  /// and 3.0 are one value), its exact occurrence count, and its content
+  /// hash, which drives tracking and is never recomputed.
+  struct Entry {
+    Value value;
+    uint64_t count = 0;
+    uint64_t hash = 0;
+  };
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+  /// Index of the entry equal to `value`, appending a zero-count entry
+  /// (and charging its budget cost) when there is none.
+  size_t FindOrInsert(const Value& value, uint64_t hash);
+  /// Rebuilds the slot array at `slot_count` (a power of two).
+  void Rehash(size_t slot_count);
+  /// Drops the entries the current level no longer tracks.
+  void DropUntracked();
   Status EnforceBudget();
+  /// Entry indices in ascending value order — the canonical order.
+  std::vector<uint32_t> SortedEntries() const;
   bool Tracks(uint64_t hash) const {
     return level_ == 0 || (hash >> (64 - level_)) == 0;
   }
@@ -163,11 +185,11 @@ class StatisticsSketch {
   uint64_t numeric_count_ = 0;
   double numeric_min_ = 0.0;
   double numeric_max_ = 0.0;
-  // Value -> (exact occurrence count, content hash). The content hash
-  // (FNV-1a over the typed value, cache/fingerprint.h) drives tracking
-  // and is stored to make coarsening O(tracked).
-  std::unordered_map<Value, std::pair<uint64_t, uint64_t>, ValueHash>
-      tracked_;
+  // The tracked values in insertion order, and an open-addressing index
+  // over them (linear probing, at most half full, empty until the first
+  // insert).
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> slots_;
   uint64_t tracked_bytes_ = 0;
 };
 

@@ -17,14 +17,17 @@ std::string RenderMetricsReport(const MetricsSnapshot& snapshot) {
     table.AddRow({gauge.name, "gauge", FormatDouble(gauge.value, 6)});
   }
   for (const auto& histogram : snapshot.histograms) {
+    const std::string unit =
+        " " + std::string(MetricUnitSymbol(histogram.unit));
     table.AddRow({histogram.name, "histogram",
                   std::to_string(histogram.count),
-                  "mean " + FormatDouble(histogram.Mean(), 4) + " ms, p50 " +
-                      FormatDouble(histogram.Quantile(0.5), 4) + " ms, p95 " +
-                      FormatDouble(histogram.Quantile(0.95), 4) +
-                      " ms, min " + FormatDouble(histogram.min, 4) +
-                      " ms, max " + FormatDouble(histogram.max, 4) +
-                      " ms, total " + FormatDouble(histogram.sum, 4) + " ms"});
+                  "mean " + FormatDouble(histogram.Mean(), 4) + unit +
+                      ", p50 " + FormatDouble(histogram.Quantile(0.5), 4) +
+                      unit + ", p95 " +
+                      FormatDouble(histogram.Quantile(0.95), 4) + unit +
+                      ", min " + FormatDouble(histogram.min, 4) + unit +
+                      ", max " + FormatDouble(histogram.max, 4) + unit +
+                      ", total " + FormatDouble(histogram.sum, 4) + unit});
   }
   return table.ToString();
 }
@@ -45,6 +48,8 @@ void WriteMetricsJson(const MetricsSnapshot& snapshot, JsonWriter& json) {
   for (const auto& histogram : snapshot.histograms) {
     json.Key(histogram.name)
         .BeginObject()
+        .Key("unit")
+        .String(MetricUnitSymbol(histogram.unit))
         .Key("count")
         .Number(static_cast<int64_t>(histogram.count))
         .Key("sum")
@@ -113,13 +118,17 @@ std::string BenchJsonLine(std::string_view bench_name, double wall_ms,
     json.Key(gauge.name).Number(gauge.value);
   }
   for (const auto& histogram : snapshot.histograms) {
+    // Keys carry the unit: `.p50_ms` for latencies, `.p50_count` for
+    // item counts.
+    const std::string unit =
+        "_" + std::string(MetricUnitSymbol(histogram.unit));
     json.Key(histogram.name + ".count")
         .Number(static_cast<int64_t>(histogram.count));
-    json.Key(histogram.name + ".sum_ms").Number(histogram.sum);
-    json.Key(histogram.name + ".p50_ms").Number(histogram.Quantile(0.5));
-    json.Key(histogram.name + ".p95_ms").Number(histogram.Quantile(0.95));
-    json.Key(histogram.name + ".min_ms").Number(histogram.min);
-    json.Key(histogram.name + ".max_ms").Number(histogram.max);
+    json.Key(histogram.name + ".sum" + unit).Number(histogram.sum);
+    json.Key(histogram.name + ".p50" + unit).Number(histogram.Quantile(0.5));
+    json.Key(histogram.name + ".p95" + unit).Number(histogram.Quantile(0.95));
+    json.Key(histogram.name + ".min" + unit).Number(histogram.min);
+    json.Key(histogram.name + ".max" + unit).Number(histogram.max);
   }
   json.EndObject().EndObject();
   return json.ToString();

@@ -50,24 +50,6 @@ std::string ValueComplexityReport::ToText() const {
   return table.ToString();
 }
 
-namespace {
-
-/// Deterministic strided sample of at most `limit` values (0 = all).
-std::vector<Value> SampleColumn(const std::vector<Value>& column,
-                                size_t limit) {
-  if (limit == 0 || column.size() <= limit) return column;
-  std::vector<Value> sample;
-  sample.reserve(limit);
-  double stride = static_cast<double>(column.size()) /
-                  static_cast<double>(limit);
-  for (size_t i = 0; i < limit; ++i) {
-    sample.push_back(column[static_cast<size_t>(i * stride)]);
-  }
-  return sample;
-}
-
-}  // namespace
-
 bool IsDomainRestricted(const AttributeStatistics& stats,
                         const ValueFitOptions& options) {
   if (stats.constancy.non_null_count == 0) return false;
@@ -153,8 +135,8 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
   struct WorkItem {
     const Correspondence* corr = nullptr;
     std::string source_database;
-    std::vector<Value> source_sample;
-    std::vector<Value> target_sample;
+    ColumnSample source_sample;
+    ColumnSample target_sample;
     AttributeDef target_attribute;
     bool has_target_data = false;
   };
@@ -181,14 +163,13 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
           AttributeDef target_attribute,
           target_table->def().Attribute(corr.target_attribute));
 
-      WorkItem item;
-      item.corr = &corr;
-      item.source_database = source.database.name();
-      item.source_sample = SampleColumn(*source_column, options_.sample_limit);
-      item.target_sample = SampleColumn(*target_column, options_.sample_limit);
-      item.target_attribute = std::move(target_attribute);
-      item.has_target_data = !target_column->empty();
-      items.push_back(std::move(item));
+      items.push_back(WorkItem{
+          .corr = &corr,
+          .source_database = source.database.name(),
+          .source_sample = ColumnSample(*source_column, options_.sample_limit),
+          .target_sample = ColumnSample(*target_column, options_.sample_limit),
+          .target_attribute = std::move(target_attribute),
+          .has_target_data = !target_column->empty()});
     }
   }
 
@@ -232,10 +213,12 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
         ItemResult& computed = results[index];
         EFES_ASSIGN_OR_RETURN(
             computed.source_stats,
-            ProfileColumn(item.source_sample, item.target_attribute.type));
+            ProfileColumn(item.source_sample.values(),
+                          item.target_attribute.type));
         EFES_ASSIGN_OR_RETURN(
             computed.target_stats,
-            ProfileColumn(item.target_sample, item.target_attribute.type));
+            ProfileColumn(item.target_sample.values(),
+                          item.target_attribute.type));
         computed.types = DetectValueHeterogeneities(
             computed.source_stats, computed.target_stats,
             item.has_target_data, options_, &computed.overall_fit);
@@ -243,7 +226,7 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
         // Count the distinct text patterns of the source values: the
         // number of format rules a conversion script would need.
         std::set<std::string> source_patterns;
-        for (const Value& value : item.source_sample) {
+        for (const Value& value : item.source_sample.values()) {
           if (value.is_null()) continue;
           source_patterns.insert(GeneralizeToPattern(value.ToString()));
           if (source_patterns.size() > options_.max_format_rules) break;

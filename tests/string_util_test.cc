@@ -4,6 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
+#include <string>
+
 namespace efes {
 namespace {
 
@@ -68,6 +76,102 @@ TEST(ParseDoubleTest, RejectsGarbage) {
   EXPECT_FALSE(ParseDouble("").has_value());
   EXPECT_FALSE(ParseDouble("1.5x").has_value());
   EXPECT_FALSE(ParseDouble("12--34").has_value());
+}
+
+TEST(ParseNumberTest, WhitespaceOnlyIsNotANumber) {
+  for (const char* text : {" ", "\t", "  \n\r\v\f ", "\t \t"}) {
+    EXPECT_FALSE(ParseInt64(text).has_value()) << '"' << text << '"';
+    EXPECT_FALSE(ParseDouble(text).has_value()) << '"' << text << '"';
+  }
+}
+
+TEST(ParseNumberTest, KeepsStrtodAndStrtollEdgeCases) {
+  // Signs, hex and overflow follow strtoll (base 10) / strtod exactly.
+  EXPECT_EQ(ParseInt64("+5"), 5);
+  EXPECT_EQ(*ParseDouble("+5"), 5.0);
+  EXPECT_EQ(ParseInt64("-0"), 0);
+  ASSERT_TRUE(ParseDouble("-0").has_value());
+  EXPECT_TRUE(std::signbit(*ParseDouble("-0")));
+  EXPECT_FALSE(std::signbit(*ParseDouble("0")));
+  EXPECT_FALSE(ParseInt64("0x1A").has_value());
+  EXPECT_EQ(*ParseDouble("0x1A"), 26.0);
+  EXPECT_EQ(ParseInt64(" 7 "), 7);
+  EXPECT_EQ(*ParseDouble("\t7\n"), 7.0);
+  EXPECT_EQ(ParseInt64("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(ParseInt64("-9223372036854775808"), INT64_MIN);
+  EXPECT_FALSE(ParseInt64("9223372036854775808").has_value());
+  EXPECT_FALSE(ParseDouble("1e400").has_value());
+  EXPECT_FALSE(ParseDouble("-1e400").has_value());
+  EXPECT_FALSE(ParseDouble("1e-400").has_value());
+  EXPECT_EQ(*ParseDouble("9007199254740993"), 9007199254740992.0);
+  EXPECT_FALSE(ParseInt64("5 5").has_value());
+  EXPECT_FALSE(ParseDouble("5 5").has_value());
+  EXPECT_FALSE(ParseInt64("+").has_value());
+  EXPECT_FALSE(ParseDouble("-").has_value());
+}
+
+TEST(ParseNumberTest, InputsLongerThanAShortBufferParseWhole) {
+  // Hundreds of significant characters: past any small fixed buffer.
+  const std::string zeros(300, '0');
+  EXPECT_EQ(ParseInt64(zeros + "42"), 42);
+  EXPECT_EQ(*ParseDouble(zeros + "42"), 42.0);
+  EXPECT_EQ(ParseInt64("  -" + zeros + "7  "), -7);
+  EXPECT_EQ(*ParseDouble("1" + std::string(200, '0')), 1e200);
+  EXPECT_FALSE(ParseInt64("1" + std::string(200, '0')).has_value());
+  EXPECT_FALSE(ParseDouble("1" + std::string(400, '0')).has_value());
+  EXPECT_EQ(*ParseDouble("0." + zeros + "5e301"), 5e0);
+  // Garbage at the very end of a long input is still rejected.
+  EXPECT_FALSE(ParseInt64(zeros + "1x").has_value());
+  EXPECT_FALSE(ParseDouble(zeros + "1.5x").has_value());
+  // Long runs of surrounding whitespace are trimmed, not parsed.
+  const std::string pad(100, ' ');
+  EXPECT_EQ(ParseInt64(pad + "12" + pad), 12);
+  EXPECT_EQ(*ParseDouble(pad + "1.25" + pad), 1.25);
+}
+
+TEST(ParseNumberTest, MatchesStrtodAndStrtollOnRandomNumericText) {
+  // Random strings over a numeric alphabet, short and long, against a
+  // direct strtoll/strtod reference on a NUL-terminated copy.
+  const char kAlphabet[] = "0123456789012345678901234567890+-.eEx ";
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (int i = 0; i < 200000; ++i) {
+    const size_t length = next() % (i % 50 == 0 ? 90 : 24);
+    std::string text;
+    for (size_t j = 0; j < length; ++j) {
+      text.push_back(kAlphabet[next() % (sizeof(kAlphabet) - 1)]);
+    }
+    const std::string trimmed(Trim(text));
+
+    std::optional<int64_t> want_int;
+    std::optional<double> want_double;
+    if (!trimmed.empty()) {
+      char* end = nullptr;
+      errno = 0;
+      long long integer = std::strtoll(trimmed.c_str(), &end, 10);
+      if (errno != ERANGE && end == trimmed.c_str() + trimmed.size()) {
+        want_int = integer;
+      }
+      errno = 0;
+      double real = std::strtod(trimmed.c_str(), &end);
+      if (errno != ERANGE && end == trimmed.c_str() + trimmed.size()) {
+        want_double = real;
+      }
+    }
+    ASSERT_EQ(ParseInt64(text), want_int) << '"' << text << '"';
+    const std::optional<double> got = ParseDouble(text);
+    ASSERT_EQ(got.has_value(), want_double.has_value()) << '"' << text << '"';
+    if (got.has_value()) {
+      // Bit equality: -0 stays -0.
+      ASSERT_EQ(std::memcmp(&*got, &*want_double, sizeof(double)), 0)
+          << '"' << text << '"';
+    }
+  }
 }
 
 TEST(FormatDoubleTest, FormatsCompactly) {

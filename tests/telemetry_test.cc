@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "efes/common/json_writer.h"
+#include "efes/common/parallel.h"
 #include "efes/profiling/profiler.h"
 #include "efes/profiling/statistics.h"
 #include "efes/relational/value.h"
@@ -441,6 +442,57 @@ TEST(ReportTest, BenchJsonLineGolden) {
             "{\"bench\":\"perf_test\",\"wall_ms\":12.5,\"threads\":4,"
             "\"counters\":{\"profiling.statistics.cells\":100}}");
   EXPECT_TRUE(JsonChecker(line).Valid());
+}
+
+TEST(ReportTest, HistogramUnitsReachTextJsonAndBenchOutput) {
+  MetricsRegistry registry;
+  registry.GetHistogram("parallel.pool.worker_items", {1, 4, 16},
+                        MetricUnit::kCount)
+      .Observe(3.0);
+  registry.GetHistogram("engine.run.ms").Observe(2.0);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  ASSERT_EQ(snapshot.histograms.size(), 2u);
+  EXPECT_EQ(snapshot.histograms[0].unit, MetricUnit::kMilliseconds);
+  EXPECT_EQ(snapshot.histograms[1].unit, MetricUnit::kCount);
+
+  const std::string report = RenderMetricsReport(snapshot);
+  EXPECT_NE(report.find("mean 3 count, p50"), std::string::npos) << report;
+  EXPECT_EQ(report.find("mean 3 ms"), std::string::npos) << report;
+  EXPECT_NE(report.find("mean 2 ms, p50"), std::string::npos) << report;
+
+  JsonWriter json;
+  WriteMetricsJson(snapshot, json);
+  const std::string text = json.ToString();
+  EXPECT_TRUE(JsonChecker(text).Valid()) << text;
+  EXPECT_NE(text.find("\"parallel.pool.worker_items\":{\"unit\":\"count\""),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\"engine.run.ms\":{\"unit\":\"ms\""),
+            std::string::npos)
+      << text;
+
+  const std::string line = BenchJsonLine("perf_test", 1.0, 1, snapshot);
+  EXPECT_TRUE(JsonChecker(line).Valid()) << line;
+  EXPECT_NE(line.find("\"parallel.pool.worker_items.p50_count\""),
+            std::string::npos)
+      << line;
+  EXPECT_EQ(line.find("worker_items.p50_ms"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"engine.run.ms.p95_ms\""), std::string::npos) << line;
+}
+
+TEST(InstrumentationTest, PoolWorkerItemsHistogramCountsItems) {
+  SetThreadCountOverride(4);
+  const Status ran = ParallelFor(8, [](size_t) { return Status::OK(); });
+  SetThreadCountOverride(0);
+  ASSERT_TRUE(ran.ok());
+  for (const auto& histogram :
+       MetricsRegistry::Global().Snapshot().histograms) {
+    if (histogram.name == "parallel.pool.worker_items") {
+      EXPECT_EQ(histogram.unit, MetricUnit::kCount);
+      return;
+    }
+  }
+  ADD_FAILURE() << "parallel.pool.worker_items was not registered";
 }
 
 // --- Instrumented library code --------------------------------------------
