@@ -1,7 +1,9 @@
 #include "efes/common/csv.h"
 
-#include <deque>
+#include <algorithm>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -39,21 +41,110 @@ void AddIssue(std::vector<DataIssue>* issues, std::string location,
       DataIssue{"csv", std::move(location), std::move(message)});
 }
 
+// A chunk's offsets are 32-bit.
+constexpr size_t kMaxChunkUnits = std::numeric_limits<uint32_t>::max();
+
+Status ChunkLimitError() {
+  std::ostringstream oss;
+  oss << "CSV chunk exceeds " << kMaxChunkUnits
+      << " bytes or cells; read it in fewer rows per chunk";
+  return Status::ResourceExhausted(oss.str());
+}
+
 // Incremental RFC-4180 scanner behind ChunkedCsvReader: one Feed over
 // in-memory text (ParseCsv), or repeated Feeds over file blocks. Because a
 // quote escape ("") and a \r\n sequence can straddle a block boundary, the
 // scanner defers those decisions with one-character pending flags instead
 // of looking ahead, which makes it produce the exact same records for any
 // split of the input.
+//
+// Between those decisions it works in runs: outside quotes, every byte up
+// to the next delimiter, quote, \r or \n (a 256-entry class table); inside
+// quotes, every byte up to the next quote (memchr). Each run is appended
+// to the open cell with one append and checked against max_field_bytes
+// once. Records accumulate flat in a CsvChunk; rows before next_row() are
+// delivered and dropped by the next DropDelivered.
 class CsvScanner {
  public:
-  explicit CsvScanner(const CsvReadOptions& options) : options_(options) {}
+  explicit CsvScanner(const CsvReadOptions& options) : options_(options) {
+    for (char c : {'"', '\r', '\n', options.delimiter}) {
+      special_[static_cast<unsigned char>(c)] = true;
+    }
+  }
 
   // Feeds input bytes; completed records accumulate in records().
   // Returns false once a resource limit latched (see limit_error()).
   bool Feed(std::string_view text) {
-    for (char c : text) {
-      if (!FeedChar(c)) return false;
+    // A block adds at most one byte and one cell per input byte.
+    if (records_.bytes.size() + text.size() >= kMaxChunkUnits ||
+        records_.cell_ends.size() + text.size() + 1 >= kMaxChunkUnits) {
+      limit_error_ = ChunkLimitError();
+      return false;
+    }
+    const char* p = text.data();
+    const char* const end = p + text.size();
+    while (p < end) {
+      if (pending_quote_) {
+        pending_quote_ = false;
+        if (*p == '"') {  // doubled quote: literal "
+          if (!Grow(p, 1)) return false;
+          ++p;
+          continue;
+        }
+        in_quotes_ = false;  // closing quote; reprocess *p
+      } else if (pending_cr_) {
+        pending_cr_ = false;
+        if (!EndRecord()) return false;  // bare \r, or \r\n: one record end
+        if (*p == '\n') {
+          ++p;
+          continue;
+        }
+      }
+      if (in_quotes_) {
+        // Everything up to the next quote is cell content; the quote is
+        // an escape or the closing quote, and the next byte tells.
+        const void* quote =
+            std::memchr(p, '"', static_cast<size_t>(end - p));
+        const char* stop =
+            quote == nullptr ? end : static_cast<const char*>(quote);
+        if (!Grow(p, static_cast<size_t>(stop - p))) return false;
+        p = stop;
+        if (p < end) {
+          pending_quote_ = true;
+          ++p;
+        }
+        continue;
+      }
+      const char c = *p;
+      if (c == '"' && !cell_started_) {
+        in_quotes_ = true;
+        cell_started_ = true;
+        ++p;
+        continue;
+      }
+      if (c == options_.delimiter) {
+        EndCell();
+        ++p;
+        continue;
+      }
+      if (c == '\r') {
+        pending_cr_ = true;  // a following \n merges into one record end
+        ++p;
+        continue;
+      }
+      if (c == '\n') {
+        if (!EndRecord()) return false;
+        ++p;
+        continue;
+      }
+      // An ordinary run; a quote inside an unquoted cell is ordinary.
+      const char* stop = p + 1;
+      while (stop < end && !special_[static_cast<unsigned char>(*stop)]) {
+        ++stop;
+      }
+      cell_started_ = true;
+      if (!Grow(p, static_cast<size_t>(stop - p))) return false;
+      p = stop;
     }
     return true;
   }
@@ -74,62 +165,60 @@ class CsvScanner {
       unterminated_quote_ = true;
       in_quotes_ = false;
     }
-    if (!current_cell_.empty() || !current_record_.empty() || cell_started_) {
+    if (OpenCellBytes() > 0 || RecordOpen() || cell_started_) {
       if (!EndRecord()) return false;
     }
     return true;
   }
 
-  std::deque<std::vector<std::string>>& records() { return records_; }
+  // Every record scanned and not yet dropped; rows before next_row() are
+  // delivered.
+  const CsvChunk& records() const { return records_; }
+  size_t next_row() const { return next_row_; }
+  size_t available() const { return records_.rows() - next_row_; }
+  void MarkDelivered(size_t rows) { next_row_ += rows; }
+
+  // Drops the delivered rows, keeping undelivered rows and the open
+  // record. Called before each Feed, so the arena holds at most the
+  // rows a chunk still needs plus one block.
+  void DropDelivered() {
+    if (next_row_ == 0) return;
+    const uint32_t cells = records_.row_ends[next_row_ - 1];
+    const uint32_t bytes = records_.cell_ends[cells - 1];
+    records_.bytes.erase(0, bytes);
+    records_.cell_ends.erase(records_.cell_ends.begin(),
+                             records_.cell_ends.begin() + cells);
+    for (uint32_t& end : records_.cell_ends) end -= bytes;
+    records_.row_ends.erase(records_.row_ends.begin(),
+                            records_.row_ends.begin() +
+                                static_cast<std::ptrdiff_t>(next_row_));
+    for (uint32_t& end : records_.row_ends) end -= cells;
+    next_row_ = 0;
+  }
+
   bool unterminated_quote() const { return unterminated_quote_; }
   const Status& limit_error() const { return limit_error_; }
 
  private:
-  bool FeedChar(char c) {
-    if (pending_quote_) {
-      pending_quote_ = false;
-      if (c == '"') return GrowCell('"');  // doubled quote: literal "
-      in_quotes_ = false;                  // closing quote; reprocess c
-    } else if (pending_cr_) {
-      pending_cr_ = false;
-      if (c == '\n') return EndRecord();  // \r\n ends one record
-      if (!EndRecord()) return false;     // bare \r; reprocess c
-    }
-    if (in_quotes_) {
-      if (c == '"') {
-        pending_quote_ = true;  // escape or closing quote: next char tells
-        return true;
-      }
-      return GrowCell(c);
-    }
-    if (c == '"' && !cell_started_ && current_cell_.empty()) {
-      in_quotes_ = true;
-      cell_started_ = true;
-      return true;
-    }
-    if (c == options_.delimiter) {
-      EndCell();
-      return true;
-    }
-    if (c == '\r') {
-      pending_cr_ = true;  // a following \n merges into one record end
-      return true;
-    }
-    if (c == '\n') return EndRecord();
-    cell_started_ = true;
-    return GrowCell(c);
+  size_t CellsEnded() const { return records_.cell_ends.size(); }
+  size_t OpenCellBytes() const {
+    return records_.bytes.size() -
+           (CellsEnded() == 0 ? 0 : records_.cell_ends.back());
+  }
+  bool RecordOpen() const {
+    return CellsEnded() >
+           (records_.row_ends.empty() ? 0 : records_.row_ends.back());
   }
 
   void EndCell() {
-    current_record_.push_back(std::move(current_cell_));
-    current_cell_.clear();
+    records_.cell_ends.push_back(
+        static_cast<uint32_t>(records_.bytes.size()));
     cell_started_ = false;
   }
 
   bool EndRecord() {
     EndCell();
-    records_.push_back(std::move(current_record_));
-    current_record_.clear();
+    records_.row_ends.push_back(static_cast<uint32_t>(CellsEnded()));
     ++total_records_;
     if (total_records_ > options_.max_rows) {
       std::ostringstream oss;
@@ -140,8 +229,8 @@ class CsvScanner {
     return true;
   }
 
-  bool GrowCell(char c) {
-    if (current_cell_.size() >= options_.max_field_bytes) {
+  bool Grow(const char* data, size_t size) {
+    if (OpenCellBytes() + size > options_.max_field_bytes) {
       std::ostringstream oss;
       oss << "CSV field in record " << total_records_ + 1
           << " exceeds the field limit of " << options_.max_field_bytes
@@ -149,14 +238,14 @@ class CsvScanner {
       limit_error_ = Status::ResourceExhausted(oss.str());
       return false;
     }
-    current_cell_.push_back(c);
+    records_.bytes.append(data, size);
     return true;
   }
 
   const CsvReadOptions options_;
-  std::deque<std::vector<std::string>> records_;
-  std::vector<std::string> current_record_;
-  std::string current_cell_;
+  bool special_[256] = {};
+  CsvChunk records_;
+  size_t next_row_ = 0;
   bool in_quotes_ = false;
   bool cell_started_ = false;
   bool pending_quote_ = false;
@@ -166,31 +255,60 @@ class CsvScanner {
   Status limit_error_;
 };
 
-// Conforms `record` (data row number `row_number`, 1-based) to the header
-// width: strict mode fails, recover mode pads/truncates and reports.
-Status NormalizeRecord(std::vector<std::string>& record, size_t header_size,
-                       size_t row_number, bool recover,
-                       std::vector<DataIssue>* issues) {
-  if (record.size() == header_size) return Status::OK();
-  if (!recover) {
+// Appends row `row` of `from` to `out`, conformed to the header width:
+// strict mode fails, recover mode pads/truncates and reports. `row_number`
+// is the 1-based data row number.
+Status AppendNormalized(const CsvChunk& from, size_t row, size_t header_size,
+                        size_t row_number, bool recover,
+                        std::vector<DataIssue>* issues, CsvChunk* out) {
+  const size_t width = from.width(row);
+  if (width != header_size) {
+    if (!recover) {
+      std::ostringstream oss;
+      oss << "CSV row " << row_number << " has " << width
+          << " cells, expected " << header_size;
+      return Status::ParseError(oss.str());
+    }
+    std::ostringstream location;
+    location << "row " << row_number;
     std::ostringstream oss;
-    oss << "CSV row " << row_number << " has " << record.size()
-        << " cells, expected " << header_size;
-    return Status::ParseError(oss.str());
+    if (width < header_size) {
+      oss << "short row padded from " << width << " to " << header_size
+          << " cells";
+    } else {
+      oss << "long row truncated from " << width << " to " << header_size
+          << " cells";
+    }
+    AddIssue(issues, location.str(), oss.str());
   }
-  std::ostringstream location;
-  location << "row " << row_number;
-  std::ostringstream oss;
-  if (record.size() < header_size) {
-    oss << "short row padded from " << record.size() << " to " << header_size
-        << " cells";
-  } else {
-    oss << "long row truncated from " << record.size() << " to "
-        << header_size << " cells";
+  if (out->cell_ends.size() + header_size >= kMaxChunkUnits) {
+    return ChunkLimitError();
   }
-  AddIssue(issues, location.str(), oss.str());
-  record.resize(header_size);
+  // The kept cells are contiguous in the arena: one append, then their
+  // ends rebased onto `out`; padding cells are empty.
+  const size_t first = row == 0 ? 0 : from.row_ends[row - 1];
+  const size_t kept = std::min(width, header_size);
+  const size_t begin = first == 0 ? 0 : from.cell_ends[first - 1];
+  const size_t end = from.cell_ends[first + kept - 1];
+  const size_t base = out->bytes.size();
+  out->bytes.append(from.bytes, begin, end - begin);
+  for (size_t i = 0; i < kept; ++i) {
+    out->cell_ends.push_back(
+        static_cast<uint32_t>(base + from.cell_ends[first + i] - begin));
+  }
+  out->cell_ends.resize(out->cell_ends.size() + (header_size - kept),
+                        static_cast<uint32_t>(out->bytes.size()));
+  out->row_ends.push_back(static_cast<uint32_t>(out->cell_ends.size()));
   return Status::OK();
+}
+
+std::vector<std::string> RowStrings(const CsvChunk& chunk, size_t row) {
+  std::vector<std::string> cells;
+  cells.reserve(chunk.width(row));
+  for (size_t c = 0; c < chunk.width(row); ++c) {
+    cells.emplace_back(chunk.cell(row, c));
+  }
+  return cells;
 }
 
 }  // namespace
@@ -224,7 +342,7 @@ struct ChunkedCsvReader::Impl {
         scanner(options) {}
 
   // Appends " (path)" to errors of a file source, and latches the error
-  // so every later NextChunk repeats it.
+  // so every later ReadChunk repeats it.
   Status Fail(const Status& status) {
     error = path.empty() ? status
                          : Status(status.code(),
@@ -236,6 +354,7 @@ struct ChunkedCsvReader::Impl {
   // source_done and finishes the scanner at end of input. In-memory text
   // is fed as one block.
   Status Pump() {
+    scanner.DropDelivered();
     if (!stream.is_open()) {
       source_done = true;
       if (!scanner.Feed(text) || !scanner.Finish()) {
@@ -299,14 +418,15 @@ Result<ChunkedCsvReader> ChunkedCsvReader::Open(const std::string& path,
 }
 
 Result<ChunkedCsvReader> ChunkedCsvReader::Start(std::unique_ptr<Impl> impl) {
-  while (impl->scanner.records().empty() && !impl->source_done) {
+  CsvScanner& scanner = impl->scanner;
+  while (scanner.available() == 0 && !impl->source_done) {
     EFES_RETURN_IF_ERROR(impl->Pump());
   }
-  if (impl->scanner.records().empty()) {
+  if (scanner.available() == 0) {
     return impl->Fail(Status::ParseError("CSV input contains no header row"));
   }
-  impl->header = std::move(impl->scanner.records().front());
-  impl->scanner.records().pop_front();
+  impl->header = RowStrings(scanner.records(), scanner.next_row());
+  scanner.MarkDelivered(1);
   return ChunkedCsvReader(std::move(impl));
 }
 
@@ -314,14 +434,16 @@ const std::vector<std::string>& ChunkedCsvReader::header() const {
   return impl_->header;
 }
 
-Result<std::vector<std::vector<std::string>>> ChunkedCsvReader::NextChunk(
-    std::vector<DataIssue>* issues) {
+Status ChunkedCsvReader::ReadChunk(CsvChunk* chunk,
+                                   std::vector<DataIssue>* issues) {
   Impl& impl = *impl_;
+  chunk->clear();
   EFES_RETURN_IF_ERROR(impl.error);
   const bool recover = impl.options.mode == CsvReadOptions::Mode::kRecover;
   const size_t want =
       impl.chunk_rows == 0 ? impl.options.max_rows : impl.chunk_rows;
-  while (impl.scanner.records().size() < want && !impl.source_done) {
+  CsvScanner& scanner = impl.scanner;
+  while (scanner.available() < want && !impl.source_done) {
     EFES_RETURN_IF_ERROR(impl.Pump());
   }
   if (impl.QuotePending()) {
@@ -332,23 +454,32 @@ Result<std::vector<std::vector<std::string>>> ChunkedCsvReader::NextChunk(
     AddIssue(issues, "end of input",
              "unterminated quoted field closed at end of input");
   }
-  std::vector<std::vector<std::string>> rows;
-  std::deque<std::vector<std::string>>& pending = impl.scanner.records();
-  while (!pending.empty() && rows.size() < want) {
-    std::vector<std::string> record = std::move(pending.front());
-    pending.pop_front();
-    Status normalized = NormalizeRecord(record, impl.header.size(),
-                                        impl.rows_delivered + rows.size() + 1,
-                                        recover, issues);
+  const size_t take = std::min(want, scanner.available());
+  for (size_t i = 0; i < take; ++i) {
+    Status normalized = AppendNormalized(
+        scanner.records(), scanner.next_row() + i, impl.header.size(),
+        impl.rows_delivered + i + 1, recover, issues, chunk);
     if (!normalized.ok()) return impl.Fail(normalized);
-    rows.push_back(std::move(record));
   }
-  impl.rows_delivered += rows.size();
+  scanner.MarkDelivered(take);
+  impl.rows_delivered += take;
+  return Status::OK();
+}
+
+Result<std::vector<std::vector<std::string>>> ChunkedCsvReader::NextChunk(
+    std::vector<DataIssue>* issues) {
+  CsvChunk chunk;
+  EFES_RETURN_IF_ERROR(ReadChunk(&chunk, issues));
+  std::vector<std::vector<std::string>> rows;
+  rows.reserve(chunk.rows());
+  for (size_t r = 0; r < chunk.rows(); ++r) {
+    rows.push_back(RowStrings(chunk, r));
+  }
   return rows;
 }
 
 bool ChunkedCsvReader::done() const {
-  return impl_->source_done && impl_->scanner.records().empty() &&
+  return impl_->source_done && impl_->scanner.available() == 0 &&
          !impl_->QuotePending();
 }
 

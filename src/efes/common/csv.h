@@ -7,7 +7,10 @@
 // There is one reading path: ChunkedCsvReader streams a file in row
 // chunks, and ParseCsv drains the same reader over in-memory text, so
 // quoting, header extraction, row normalization, and every error are
-// defined once.
+// defined once. The reader's scanner consumes whole runs of ordinary
+// bytes at a time and stores records flat (CsvChunk): one byte arena and
+// 32-bit cell and row ends, no string per cell. ReadChunk hands such a
+// chunk to the caller; NextChunk copies it out as strings.
 //
 // Parsing runs in one of two modes (CsvReadOptions::Mode):
 //   * kStrict (default): the historical fail-fast behavior — the first
@@ -24,6 +27,7 @@
 #define EFES_COMMON_CSV_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -39,6 +43,35 @@ namespace efes {
 struct CsvDocument {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
+};
+
+/// A block of CSV records in flat storage: the bytes of every cell back
+/// to back in one arena, the end offset of each cell in `bytes`, and the
+/// end of each row as an index into `cell_ends`. A cell is a view into
+/// the arena, so reading a chunk allocates nothing per cell. clear()
+/// keeps the capacity, so a reused chunk allocates only while it grows.
+struct CsvChunk {
+  std::string bytes;
+  std::vector<uint32_t> cell_ends;
+  std::vector<uint32_t> row_ends;
+
+  size_t rows() const { return row_ends.size(); }
+  /// Number of cells of `row` (every row of a ChunkedCsvReader chunk has
+  /// the header's width).
+  size_t width(size_t row) const { return row_ends[row] - RowBegin(row); }
+  std::string_view cell(size_t row, size_t column) const {
+    const size_t index = RowBegin(row) + column;
+    const size_t begin = index == 0 ? 0 : cell_ends[index - 1];
+    return std::string_view(bytes.data() + begin, cell_ends[index] - begin);
+  }
+  void clear() {
+    bytes.clear();
+    cell_ends.clear();
+    row_ends.clear();
+  }
+
+ private:
+  size_t RowBegin(size_t row) const { return row == 0 ? 0 : row_ends[row - 1]; }
 };
 
 /// How to parse and which limits to enforce.
@@ -80,14 +113,14 @@ Status WriteCsvFile(const CsvDocument& doc, const std::string& path,
 /// stream order: a malformed row is reported by the chunk that holds it,
 /// while an unterminated quote can only be seen at end of input and is
 /// reported (strict: failed, recover: closed and described) by the last
-/// NextChunk call, before that chunk's rows are normalized.
+/// ReadChunk call, before that chunk's rows are normalized.
 ///
 /// Usage:
 ///   EFES_ASSIGN_OR_RETURN(ChunkedCsvReader reader,
 ///                         ChunkedCsvReader::Open(path, options, 65536));
+///   CsvChunk chunk;
 ///   while (!reader.done()) {
-///     EFES_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> rows,
-///                           reader.NextChunk(&issues));
+///     EFES_RETURN_IF_ERROR(reader.ReadChunk(&chunk, &issues));
 ///     ...  // at most 65536 rows; empty only at end of file
 ///   }
 class ChunkedCsvReader {
@@ -107,11 +140,17 @@ class ChunkedCsvReader {
   /// The header row (available immediately after Open succeeds).
   const std::vector<std::string>& header() const;
 
-  /// The next block of at most chunk_rows data rows, normalized to the
-  /// header width under the configured mode (repairs reported through
-  /// `issues`, which may be null). Returns an empty vector at end of
-  /// file. Errors (strict-mode shape violations, resource limits) are
-  /// sticky: every later call returns the same status.
+  /// Replaces `*chunk` with the next block of at most chunk_rows data
+  /// rows, normalized to the header width under the configured mode
+  /// (repairs reported through `issues`, which may be null). The chunk is
+  /// empty at end of file. Errors (strict-mode shape violations, resource
+  /// limits) are sticky: every later call returns the same status. A
+  /// chunk holds at most 2^32 - 1 bytes and cells; a chunk_rows that
+  /// needs more fails with ResourceExhausted.
+  Status ReadChunk(CsvChunk* chunk, std::vector<DataIssue>* issues = nullptr);
+
+  /// ReadChunk, with the rows copied out as strings. For callers that
+  /// keep or move individual cells; ReadChunk allocates nothing per cell.
   Result<std::vector<std::vector<std::string>>> NextChunk(
       std::vector<DataIssue>* issues = nullptr);
 

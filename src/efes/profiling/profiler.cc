@@ -207,13 +207,13 @@ Result<CsvProfile> ProfileCsvFile(const std::string& path,
     std::vector<char> all_integer(width, 1);
     std::vector<char> all_real(width, 1);
     std::vector<char> saw_value(width, 0);
+    CsvChunk chunk;
     while (!reader.done()) {
-      EFES_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> chunk,
-                            reader.NextChunk());
-      profile.row_count += chunk.size();
-      for (const std::vector<std::string>& row : chunk) {
-        for (size_t c = 0; c < row.size(); ++c) {
-          const std::string& cell = row[c];
+      EFES_RETURN_IF_ERROR(reader.ReadChunk(&chunk));
+      profile.row_count += chunk.rows();
+      for (size_t r = 0; r < chunk.rows(); ++r) {
+        for (size_t c = 0; c < width; ++c) {
+          const std::string_view cell = chunk.cell(r, c);
           if (cell.empty()) continue;
           saw_value[c] = 1;
           if (!all_integer[c] && !all_real[c]) continue;
@@ -250,16 +250,16 @@ Result<CsvProfile> ProfileCsvFile(const std::string& path,
     EFES_ASSIGN_OR_RETURN(
         ChunkedCsvReader reader,
         ChunkedCsvReader::Open(path, csv_options, options.chunk_rows));
+    CsvChunk chunk;
     while (!reader.done()) {
-      EFES_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> chunk,
-                            reader.NextChunk());
-      if (chunk.empty()) break;
+      EFES_RETURN_IF_ERROR(reader.ReadChunk(&chunk));
+      if (chunk.rows() == 0) break;
       EFES_RETURN_IF_ERROR(ParallelFor(width, [&](size_t c) -> Status {
         StatisticsSketch chunk_sketch(profile.types[c], options);
-        for (std::vector<std::string>& row : chunk) {
-          std::string& cell = row[c];
+        for (size_t r = 0; r < chunk.rows(); ++r) {
+          const std::string_view cell = chunk.cell(r, c);
           EFES_RETURN_IF_ERROR(chunk_sketch.Absorb(
-              cell.empty() ? Value::Null() : Value::Text(std::move(cell))));
+              cell.empty() ? Value::Null() : Value::Text(std::string(cell))));
         }
         return columns[c].Merge(chunk_sketch);
       }));

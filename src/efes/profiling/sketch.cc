@@ -16,6 +16,17 @@ namespace {
 
 constexpr double kEpsilon = 1e-12;
 
+/// The histogram bucket of a sample at `position` = (v - min) / width
+/// bucket widths past the minimum. The position is NaN for a NaN sample,
+/// and for every sample of an infinite range (the width is infinite):
+/// those, like positions at or past the end, go to the last bucket, where
+/// the unchecked size_t cast used to put them on x86-64.
+size_t HistogramBucket(double position) {
+  constexpr size_t kLast = HistogramStats::kBucketCount - 1;
+  if (!(position < static_cast<double>(kLast))) return kLast;
+  return position > 0.0 ? static_cast<size_t>(position) : 0;
+}
+
 /// Build-stable fixed overhead charged against the --max-memory budget
 /// (deliberately not sizeof(StatisticsSketch): cached sketch state must
 /// re-import under the same budget arithmetic across builds).
@@ -498,10 +509,7 @@ AttributeStatistics StatisticsSketch::Finalize() const {
     double width = (numeric_max_ - numeric_min_) / HistogramStats::kBucketCount;
     for (const auto& [v, count] : numbers) {
       size_t bucket =
-          width < kEpsilon
-              ? 0
-              : std::min(HistogramStats::kBucketCount - 1,
-                         static_cast<size_t>((v - numeric_min_) / width));
+          width < kEpsilon ? 0 : HistogramBucket((v - numeric_min_) / width);
       if (sample_numeric > 0) {
         histogram.bucket_fractions[bucket] +=
             static_cast<double>(count) / denom;

@@ -138,19 +138,22 @@ Status Database::CheckCsvHeader(
   return Status::OK();
 }
 
-Status Database::LoadCsv(std::string_view relation,
-                         std::vector<std::vector<std::string>> rows) {
+Status Database::LoadCsv(std::string_view relation, const CsvChunk& rows) {
   EFES_ASSIGN_OR_RETURN(Table * target, mutable_table(relation));
-  for (std::vector<std::string>& csv_row : rows) {
-    std::vector<Value> row;
-    row.reserve(csv_row.size());
-    for (std::string& cell : csv_row) {
-      row.push_back(cell.empty() ? Value::Null()
-                                 : Value::Text(std::move(cell)));
+  return target->AppendCsvRows(rows);
+}
+
+Status Database::LoadCsv(std::string_view relation,
+                         const std::vector<std::vector<std::string>>& rows) {
+  CsvChunk chunk;
+  for (const std::vector<std::string>& row : rows) {
+    for (const std::string& cell : row) {
+      chunk.bytes += cell;
+      chunk.cell_ends.push_back(static_cast<uint32_t>(chunk.bytes.size()));
     }
-    EFES_RETURN_IF_ERROR(target->AppendRow(std::move(row)));
+    chunk.row_ends.push_back(static_cast<uint32_t>(chunk.cell_ends.size()));
   }
-  return Status::OK();
+  return LoadCsv(relation, chunk);
 }
 
 Result<CsvDocument> Database::ExportCsv(std::string_view relation) const {

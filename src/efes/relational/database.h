@@ -62,12 +62,14 @@ class Database {
                         const std::vector<std::string>& header) const;
 
   /// Appends CSV data rows, such as one ChunkedCsvReader chunk, to
-  /// `relation`, whose header passed CheckCsvHeader. Each cell moves into
-  /// a Value: an empty cell becomes NULL, any other is cast to its
-  /// attribute's type. Stops at the first row the table rejects; the
+  /// `relation`, whose header passed CheckCsvHeader (Table::AppendCsvRows:
+  /// an empty cell becomes NULL, any other is parsed once into its
+  /// attribute's type). Stops at the first row the table rejects; the
   /// rows before it stay loaded.
+  Status LoadCsv(std::string_view relation, const CsvChunk& rows);
+  /// The same over rows of strings.
   Status LoadCsv(std::string_view relation,
-                 std::vector<std::vector<std::string>> rows);
+                 const std::vector<std::vector<std::string>>& rows);
 
   /// Exports the instance of `relation` as CSV (NULL as empty cell).
   Result<CsvDocument> ExportCsv(std::string_view relation) const;

@@ -9,14 +9,15 @@ Table::Table(RelationDef def) : def_(std::move(def)) {
   columns_.resize(def_.attribute_count());
 }
 
+Status Table::ArityMismatch(size_t arity) const {
+  std::ostringstream oss;
+  oss << "row arity " << arity << " does not match relation '" << def_.name()
+      << "' with " << def_.attribute_count() << " attributes";
+  return Status::InvalidArgument(oss.str());
+}
+
 Status Table::AppendRow(std::vector<Value> row) {
-  if (row.size() != def_.attribute_count()) {
-    std::ostringstream oss;
-    oss << "row arity " << row.size() << " does not match relation '"
-        << def_.name() << "' with " << def_.attribute_count()
-        << " attributes";
-    return Status::InvalidArgument(oss.str());
-  }
+  if (row.size() != def_.attribute_count()) return ArityMismatch(row.size());
   // Cast every cell first so a failed append leaves the table unchanged.
   // NULLs and cells already of the attribute type are kept as they are.
   for (size_t c = 0; c < row.size(); ++c) {
@@ -29,6 +30,38 @@ Status Table::AppendRow(std::vector<Value> row) {
   }
   ++row_count_;
   return Status::OK();
+}
+
+Status Table::AppendCsvRows(const CsvChunk& chunk) {
+  const std::vector<AttributeDef>& attributes = def_.attributes();
+  for (size_t r = 0; r < chunk.rows(); ++r) {
+    if (chunk.width(r) != attributes.size()) {
+      return ArityMismatch(chunk.width(r));
+    }
+    for (size_t c = 0; c < attributes.size(); ++c) {
+      const std::string_view cell = chunk.cell(r, c);
+      if (cell.empty()) {
+        columns_[c].emplace_back();
+        continue;
+      }
+      std::optional<Value> value = Value::ParseAs(cell, attributes[c].type);
+      if (!value.has_value()) {
+        // Take the partial row back out, and report the error the boxed
+        // cast reports.
+        for (size_t done = 0; done < c; ++done) columns_[done].pop_back();
+        return Value::Text(std::string(cell))
+            .CastTo(attributes[c].type)
+            .status();
+      }
+      columns_[c].push_back(*std::move(value));
+    }
+    ++row_count_;
+  }
+  return Status::OK();
+}
+
+void Table::Reserve(size_t rows) {
+  for (std::vector<Value>& column : columns_) column.reserve(rows);
 }
 
 void Table::RemoveRows(const std::vector<size_t>& rows) {

@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "efes/common/csv.h"
 #include "efes/common/result.h"
 #include "efes/relational/schema.h"
 #include "efes/relational/value.h"
@@ -33,6 +34,16 @@ class Table {
   /// non-null value must be castable to the attribute type and is stored
   /// in canonical (cast) form.
   Status AppendRow(std::vector<Value> row);
+
+  /// Appends the rows of a CSV chunk, each cell parsed once into its
+  /// attribute's type (an empty cell is NULL): the same values and errors
+  /// as AppendRow over Value::Text cells. Rows before the first failing
+  /// row stay; that row and the later ones are not appended, and the
+  /// error is the cast error of the row's lowest failing column.
+  Status AppendCsvRows(const CsvChunk& chunk);
+
+  /// Reserves room for `rows` rows in every column.
+  void Reserve(size_t rows);
 
   /// Removes the rows at the given indices (out-of-range entries are
   /// ignored; duplicates are fine). Used by the integration executor's
@@ -104,6 +115,8 @@ class Table {
       const std::vector<size_t>& referenced_columns) const;
 
  private:
+  Status ArityMismatch(size_t arity) const;
+
   RelationDef def_;
   size_t row_count_ = 0;
   // columns_[c][r] is the value of attribute c in row r.

@@ -1,5 +1,7 @@
 #include "efes/relational/value.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 
 #include "efes/common/string_util.h"
@@ -22,6 +24,28 @@ int TypeRank(DataType type) {
       return 3;
   }
   return 4;
+}
+
+/// "true" and "1" are true, "false" and "0" false, in any letter case.
+std::optional<bool> ParseBoolean(std::string_view text) {
+  auto is = [text](std::string_view word) {
+    return text.size() == word.size() &&
+           std::equal(text.begin(), text.end(), word.begin(),
+                      [](char a, char b) {
+                        return std::tolower(static_cast<unsigned char>(a)) ==
+                               b;
+                      });
+  };
+  if (is("true") || text == "1") return true;
+  if (is("false") || text == "0") return false;
+  return std::nullopt;
+}
+
+Status CastMismatch(const Value& value, DataType target) {
+  return Status::TypeMismatch(
+      "cannot cast " + value.ToString() + " (" +
+      std::string(DataTypeToString(value.type())) + ") to " +
+      std::string(DataTypeToString(target)));
 }
 
 }  // namespace
@@ -81,33 +105,48 @@ bool Value::CanCastTo(DataType target) const {
       }
       return target == DataType::kText;
     case DataType::kText:
-      if (target == DataType::kInteger) {
-        return ParseInt64(AsText()).has_value();
-      }
-      if (target == DataType::kReal) {
-        return ParseDouble(AsText()).has_value();
-      }
-      if (target == DataType::kBoolean) {
-        std::string lower = ToLower(AsText());
-        return lower == "true" || lower == "false" || lower == "0" ||
-               lower == "1";
-      }
-      return false;
+      return ParseAs(AsText(), target).has_value();
     case DataType::kNull:
       return true;
   }
   return false;
 }
 
+std::optional<Value> Value::ParseAs(std::string_view text,
+                                   DataType target) {
+  switch (target) {
+    case DataType::kText:
+      return Value::Text(std::string(text));
+    case DataType::kInteger:
+      if (std::optional<int64_t> parsed = ParseInt64(text)) {
+        return Value::Integer(*parsed);
+      }
+      return std::nullopt;
+    case DataType::kReal:
+      if (std::optional<double> parsed = ParseDouble(text)) {
+        return Value::Real(*parsed);
+      }
+      return std::nullopt;
+    case DataType::kBoolean:
+      if (std::optional<bool> parsed = ParseBoolean(text)) {
+        return Value::Boolean(*parsed);
+      }
+      return std::nullopt;
+    case DataType::kNull:
+      return std::nullopt;
+  }
+  return std::nullopt;
+}
+
 Result<Value> Value::CastTo(DataType target) const {
   if (is_null()) return Value::Null();
   if (target == type()) return *this;
-  if (!CanCastTo(target)) {
-    return Status::TypeMismatch(
-        "cannot cast " + ToString() + " (" +
-        std::string(DataTypeToString(type())) + ") to " +
-        std::string(DataTypeToString(target)));
+  if (type() == DataType::kText) {
+    std::optional<Value> parsed = ParseAs(AsText(), target);
+    if (!parsed.has_value()) return CastMismatch(*this, target);
+    return *std::move(parsed);
   }
+  if (!CanCastTo(target)) return CastMismatch(*this, target);
   switch (type()) {
     case DataType::kBoolean:
       if (target == DataType::kText) {
@@ -124,17 +163,7 @@ Result<Value> Value::CastTo(DataType target) const {
         return Value::Integer(static_cast<int64_t>(AsReal()));
       }
       return Value::Text(FormatDouble(AsReal(), 15));
-    case DataType::kText: {
-      const std::string& text = AsText();
-      if (target == DataType::kInteger) {
-        return Value::Integer(*ParseInt64(text));
-      }
-      if (target == DataType::kReal) {
-        return Value::Real(*ParseDouble(text));
-      }
-      std::string lower = ToLower(text);
-      return Value::Boolean(lower == "true" || lower == "1");
-    }
+    case DataType::kText:  // handled above
     case DataType::kNull:
       return Value::Null();
   }

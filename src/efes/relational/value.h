@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -74,6 +75,12 @@ class Value {
 
   /// Performs the cast; fails with kTypeMismatch when CanCastTo is false.
   Result<Value> CastTo(DataType target) const;
+
+  /// The value Text(text).CastTo(target) yields, from one parse of `text`
+  /// and without boxing it first; nullopt where that cast fails. This is
+  /// the cast of every text cell, CastTo's included.
+  static std::optional<Value> ParseAs(std::string_view text,
+                                      DataType target);
 
   /// Human-readable rendering; NULL renders as "NULL", text verbatim.
   std::string ToString() const;

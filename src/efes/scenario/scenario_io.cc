@@ -7,9 +7,10 @@
 
 #include "efes/common/fault.h"
 #include "efes/common/file_io.h"
+#include "efes/common/metrics.h"
 #include "efes/common/string_util.h"
 #include "efes/relational/schema_text.h"
-#include "efes/common/metrics.h"
+#include "efes/telemetry/trace.h"
 
 namespace efes {
 
@@ -57,6 +58,20 @@ Status SaveDatabase(const Database& database, const fs::path& directory) {
   return Status::OK();
 }
 
+/// The rows of a `file_bytes` CSV file whose first chunk is `chunk`, so
+/// the columns grow once instead of doubling: each row of the chunk
+/// stands for its cell bytes plus one delimiter or newline per cell, and
+/// 1/16 more is left for later rows that run shorter. An overestimate
+/// only reserves address space the columns never touch.
+size_t EstimateRows(const CsvChunk& chunk, uintmax_t file_bytes) {
+  const size_t chunk_bytes = chunk.bytes.size() + chunk.cell_ends.size();
+  if (chunk_bytes == 0) return 0;
+  const double rows = static_cast<double>(file_bytes) *
+                      static_cast<double>(chunk.rows()) /
+                      static_cast<double>(chunk_bytes);
+  return static_cast<size_t>(rows + rows / 16);
+}
+
 /// Streams one table file into the table of `relation`, chunk by chunk.
 /// The reader is drained to the end even after the header or a row was
 /// rejected (later rows are then read but not appended), so a CSV error
@@ -67,6 +82,12 @@ Status SaveDatabase(const Database& database, const fs::path& directory) {
 Status LoadTable(Database& database, const RelationDef& relation,
                  const std::string& path, const LoadOptions& options,
                  std::vector<DataIssue>* issues) {
+  static Counter& rows_loaded =
+      MetricsRegistry::Global().GetCounter("scenario.load.rows");
+  static Counter& bytes_read =
+      MetricsRegistry::Global().GetCounter("scenario.load.bytes");
+  TraceSpan span("scenario.load.table");
+  Table& table = **database.mutable_table(relation.name());
   const bool recover = IsRecover(options);
   std::vector<DataIssue> csv_issues;
   Status relational;
@@ -74,22 +95,32 @@ Status LoadTable(Database& database, const RelationDef& relation,
     EFES_ASSIGN_OR_RETURN(
         ChunkedCsvReader reader,
         ChunkedCsvReader::Open(path, CsvOptionsFor(options), kLoadChunkRows));
+    std::error_code size_error;
+    uintmax_t file_bytes = fs::file_size(path, size_error);
+    if (size_error) file_bytes = 0;
+    bytes_read.Increment(file_bytes);
     relational = database.CheckCsvHeader(relation.name(), reader.header());
+    CsvChunk chunk;
+    bool first_chunk = true;
     while (!reader.done()) {
-      EFES_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> rows,
-                            reader.NextChunk(&csv_issues));
-      if (relational.ok()) {
-        relational = database.LoadCsv(relation.name(), std::move(rows));
+      EFES_RETURN_IF_ERROR(reader.ReadChunk(&chunk, &csv_issues));
+      if (!relational.ok()) continue;
+      if (first_chunk) {
+        first_chunk = false;
+        table.Reserve(reader.done() ? chunk.rows()
+                                    : EstimateRows(chunk, file_bytes));
       }
+      relational = database.LoadCsv(relation.name(), chunk);
     }
     return Status::OK();
   }();
   if (!csv.ok()) {
     if (!recover) return csv;
-    **database.mutable_table(relation.name()) = Table(relation);
+    table = Table(relation);
     AddIssue(issues, "data", path, "table skipped: " + csv.ToString());
     return Status::OK();
   }
+  rows_loaded.Increment(table.row_count());
   if (issues != nullptr) {
     issues->insert(issues->end(), std::make_move_iterator(csv_issues.begin()),
                    std::make_move_iterator(csv_issues.end()));
@@ -249,6 +280,7 @@ Result<IntegrationScenario> LoadScenario(const std::string& directory) {
 Result<IntegrationScenario> LoadScenario(const std::string& directory,
                                          const LoadOptions& options,
                                          ScenarioLoadReport* report) {
+  TraceSpan span("scenario.load");
   EFES_RETURN_IF_ERROR(CheckFaultPoint("scenario.load"));
   const bool recover = IsRecover(options);
   std::vector<DataIssue> issues;

@@ -1,19 +1,27 @@
 // Corruption property test: every text parser in the ingestion path must
 // survive arbitrarily mangled input — truncated mid-token, bytes flipped,
 // garbage spliced in — by returning a clean non-OK Status. No parser may
-// crash, throw, or hang, whatever the bytes. The mutations are drawn from
+// crash, throw, or hang, whatever the bytes. That holds end to end too:
+// a mangled table file of a scenario directory, loaded into typed columns
+// by LoadScenario, is a clean error in strict mode and a degraded load in
+// recover mode. The mutations are drawn from
 // the repo's seeded PRNG, so a failure reproduces exactly from the seed
 // logged by SCOPED_TRACE.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "efes/common/csv.h"
+#include "efes/common/file_io.h"
 #include "efes/common/random.h"
 #include "efes/relational/schema_text.h"
+#include "efes/scenario/paper_example.h"
 #include "efes/scenario/scenario_io.h"
+#include "test_paths.h"
 
 namespace efes {
 namespace {
@@ -131,6 +139,55 @@ TEST(CorruptionPropertyTest, ParseSchemaTextSurvivesMangledBytes) {
     SCOPED_TRACE("iteration " + std::to_string(iteration));
     ExpectCleanOutcome(ParseSchemaText(Corrupt(kValidDdl, rng), "target"));
   }
+}
+
+TEST(CorruptionPropertyTest, LoadScenarioSurvivesMangledTableFiles) {
+  const std::string directory = TestScratchPath("efes_corrupt_scenario");
+  std::filesystem::remove_all(directory);
+  PaperExampleOptions example;
+  example.album_count = 12;
+  example.song_count = 20;
+  auto scenario = MakePaperExample(example);
+  ASSERT_TRUE(scenario.ok());
+  ASSERT_TRUE(SaveScenario(*scenario, directory).ok());
+  // Every table file, with its clean bytes.
+  std::vector<std::pair<std::string, std::string>> tables;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(directory)) {
+    if (entry.path().extension() != ".csv") continue;
+    auto bytes = ReadFileToString(entry.path().string());
+    ASSERT_TRUE(bytes.ok());
+    tables.emplace_back(entry.path().string(), *bytes);
+  }
+  std::sort(tables.begin(), tables.end());
+  ASSERT_FALSE(tables.empty());
+
+  LoadOptions recover;
+  recover.mode = LoadOptions::Mode::kRecover;
+  Random rng(20150324);
+  for (int iteration = 0; iteration < 150; ++iteration) {
+    const auto& [path, clean] = tables[rng.UniformUint64(tables.size())];
+    const std::string corrupted = Corrupt(clean, rng);
+    SCOPED_TRACE("iteration " + std::to_string(iteration) + " " + path);
+    ASSERT_TRUE(WriteFileAtomic(path, corrupted).ok());
+
+    auto strict = LoadScenario(directory);
+    ExpectCleanOutcome(strict);
+    // Recover mode keeps every source whose schema loads: damaged data
+    // becomes issues, never a failed load.
+    ScenarioLoadReport report;
+    auto lenient = LoadScenario(directory, recover, &report);
+    ASSERT_TRUE(lenient.ok()) << lenient.status().ToString();
+    EXPECT_EQ(lenient->sources.size(), scenario->sources.size());
+    if (!strict.ok()) {
+      EXPECT_TRUE(report.degraded);
+    }
+    for (const DataIssue& issue : report.issues) {
+      EXPECT_FALSE(issue.message.empty());
+    }
+    ASSERT_TRUE(WriteFileAtomic(path, clean).ok());
+  }
+  std::filesystem::remove_all(directory);
 }
 
 TEST(CorruptionPropertyTest, PureGarbageNeverCrashesAnyParser) {

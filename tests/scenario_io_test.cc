@@ -7,9 +7,12 @@
 #include <filesystem>
 #include <fstream>
 
+#include "efes/cache/fingerprint.h"
 #include "efes/common/file_io.h"
+#include "efes/common/metrics.h"
 #include "efes/experiment/default_pipeline.h"
 #include "efes/scenario/paper_example.h"
+#include "efes/telemetry/trace.h"
 
 #include "test_paths.h"
 
@@ -454,6 +457,249 @@ TEST_F(ScenarioIoTest, RoundTripLoadsTablesLargerThanOneChunk) {
       ASSERT_EQ(reloaded->at(r, c).type(), original->at(r, c).type());
     }
   }
+}
+
+/// Scenario loading turns each CSV cell into its column's value. These
+/// tests hold it to the boxed path: Table::AppendRow over Value::Text
+/// cells (an empty cell is NULL), which keeps the rows before the first
+/// row that fails and reports the lowest failing column of that row.
+class TypedAppendTest : public ScenarioIoTest {
+ protected:
+  static std::vector<std::string> Cells() {
+    return {" 7 ", "+5",  "0x1A", "1e400", "-0",    "3.0",  "nan",
+            "TRUE", "",   "-0.0", "12",    "false", "1",    "Zed"};
+  }
+
+  static std::vector<DataType> Types() {
+    return {DataType::kInteger, DataType::kReal, DataType::kBoolean,
+            DataType::kText};
+  }
+
+  /// Appends `rows` through AppendRow until the first failure.
+  static Status AppendBoxed(Table& table,
+                            const std::vector<std::vector<std::string>>& rows) {
+    for (const std::vector<std::string>& cells : rows) {
+      std::vector<Value> row;
+      for (const std::string& cell : cells) {
+        row.push_back(cell.empty() ? Value::Null() : Value::Text(cell));
+      }
+      EFES_RETURN_IF_ERROR(table.AppendRow(std::move(row)));
+    }
+    return Status::OK();
+  }
+
+  /// Saves a scenario whose one source holds `relations`, then writes
+  /// each relation's rows as its CSV file. Returns the file paths.
+  std::vector<std::string> WriteSource(
+      const std::vector<RelationDef>& relations,
+      const std::vector<std::vector<std::vector<std::string>>>& rows) {
+    Schema target_schema("t");
+    (void)target_schema.AddRelation(
+        RelationDef("t", {{"a", DataType::kText}}));
+    Schema source_schema("s");
+    for (const RelationDef& relation : relations) {
+      (void)source_schema.AddRelation(relation);
+    }
+    IntegrationScenario scenario(
+        "typed", std::move(*Database::Create(std::move(target_schema))));
+    scenario.AddSource(std::move(*Database::Create(std::move(source_schema))),
+                       CorrespondenceSet());
+    EXPECT_TRUE(SaveScenario(scenario, directory_).ok());
+    std::vector<std::string> paths;
+    for (size_t i = 0; i < relations.size(); ++i) {
+      CsvDocument doc;
+      for (const AttributeDef& attr : relations[i].attributes()) {
+        doc.header.push_back(attr.name);
+      }
+      doc.rows = rows[i];
+      paths.push_back(directory_ + "/sources/s/data/" + relations[i].name() +
+                      ".csv");
+      EXPECT_TRUE(WriteCsvFile(doc, paths.back()).ok());
+    }
+    return paths;
+  }
+
+  static void ExpectSameTable(const Table& expected, const Table& loaded) {
+    ASSERT_EQ(expected.row_count(), loaded.row_count()) << expected.name();
+    for (size_t c = 0; c < expected.column_count(); ++c) {
+      const DataType type = expected.def().attributes()[c].type;
+      EXPECT_EQ(FingerprintColumn(expected.column(c), type),
+                FingerprintColumn(loaded.column(c), type))
+          << expected.name() << " column " << c;
+      for (size_t r = 0; r < expected.row_count(); ++r) {
+        ASSERT_EQ(expected.at(r, c).type(), loaded.at(r, c).type())
+            << expected.name() << " " << r << "," << c;
+        ASSERT_EQ(expected.at(r, c).ToString(), loaded.at(r, c).ToString())
+            << expected.name() << " " << r << "," << c;
+      }
+    }
+  }
+
+  static std::vector<std::string> Rendered(
+      const std::vector<DataIssue>& issues) {
+    std::vector<std::string> rendered;
+    for (const DataIssue& issue : issues) rendered.push_back(issue.ToString());
+    return rendered;
+  }
+};
+
+TEST_F(TypedAppendTest, EveryCellCastsAsTheBoxedPathDoes) {
+  // One single-column table per (type, cell), the cell between two NULLs.
+  std::vector<RelationDef> relations;
+  std::vector<std::vector<std::vector<std::string>>> rows;
+  for (DataType type : Types()) {
+    for (size_t i = 0; i < Cells().size(); ++i) {
+      relations.push_back(RelationDef(
+          std::string(DataTypeToString(type)) + "_" + std::to_string(i),
+          {{"v", type}}));
+      rows.push_back({{""}, {Cells()[i]}, {""}});
+    }
+  }
+  const std::vector<std::string> paths = WriteSource(relations, rows);
+
+  std::vector<std::string> expected_issues;
+  std::vector<Table> expected;
+  Status first_error;
+  for (size_t i = 0; i < relations.size(); ++i) {
+    expected.emplace_back(relations[i]);
+    Status appended = AppendBoxed(expected.back(), rows[i]);
+    if (!appended.ok()) {
+      expected_issues.push_back("data (" + paths[i] +
+                                "): table partially loaded: " +
+                                appended.ToString());
+      if (first_error.ok()) first_error = appended;
+    }
+  }
+  // The cells reach both outcomes.
+  ASSERT_FALSE(expected_issues.empty());
+  ASSERT_LT(expected_issues.size(), relations.size());
+
+  auto strict = LoadScenario(directory_);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().ToString(), first_error.ToString());
+
+  LoadOptions recover;
+  recover.mode = LoadOptions::Mode::kRecover;
+  ScenarioLoadReport report;
+  auto loaded = LoadScenario(directory_, recover, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(Rendered(report.issues), expected_issues);
+  for (const Table& table : expected) {
+    ExpectSameTable(table, **loaded->sources[0].database.table(table.name()));
+  }
+}
+
+TEST_F(TypedAppendTest, CastFailureInTheMiddleOfAChunkKeepsEarlierRows) {
+  const RelationDef relation(
+      "wide", {{"i", DataType::kInteger},
+               {"r", DataType::kReal},
+               {"b", DataType::kBoolean},
+               {"t", DataType::kText}});
+  // Per column, the cells that cast to its type.
+  std::vector<std::vector<std::string>> pools(relation.attribute_count());
+  for (size_t c = 0; c < pools.size(); ++c) {
+    const DataType type = relation.attributes()[c].type;
+    for (const std::string& cell : Cells()) {
+      if (cell.empty() || Value::Text(cell).CastTo(type).ok()) {
+        pools[c].push_back(cell);
+      }
+    }
+  }
+  const size_t failing_row = kLoadChunkRows + 100;
+  for (bool short_row_after : {false, true}) {
+    SCOPED_TRACE(short_row_after ? "short row after" : "no repair");
+    std::vector<std::vector<std::string>> rows;
+    for (size_t r = 0; r < kLoadChunkRows + 200; ++r) {
+      std::vector<std::string> row;
+      for (size_t c = 0; c < pools.size(); ++c) {
+        row.push_back(pools[c][(r * 7 + c * 3) % pools[c].size()]);
+      }
+      rows.push_back(std::move(row));
+    }
+    // Two columns fail in this row; the lower one is reported.
+    rows[failing_row][0] = "x1";
+    rows[failing_row][1] = "y2";
+    if (short_row_after) rows[failing_row + 50].pop_back();
+    const std::string path = WriteSource({relation}, {rows})[0];
+
+    Table expected(relation);
+    std::vector<std::vector<std::string>> padded = rows;
+    for (auto& row : padded) row.resize(relation.attribute_count());
+    const Status cast = AppendBoxed(expected, padded);
+    ASSERT_EQ(cast.ToString(),
+              "type mismatch: cannot cast x1 (text) to integer");
+    ASSERT_EQ(expected.row_count(), failing_row);
+
+    auto strict = LoadScenario(directory_);
+    ASSERT_FALSE(strict.ok());
+    const std::string short_row_number = std::to_string(failing_row + 51);
+    EXPECT_EQ(strict.status().ToString(),
+              short_row_after ? "parse error: CSV row " + short_row_number +
+                                    " has 3 cells, expected 4 (" + path + ")"
+                              : cast.ToString());
+
+    LoadOptions recover;
+    recover.mode = LoadOptions::Mode::kRecover;
+    ScenarioLoadReport report;
+    auto loaded = LoadScenario(directory_, recover, &report);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    std::vector<std::string> expected_issues;
+    if (short_row_after) {
+      expected_issues.push_back("csv (row " + short_row_number +
+                                "): short row padded from 3 to 4 cells");
+    }
+    expected_issues.push_back("data (" + path +
+                              "): table partially loaded: " + cast.ToString());
+    EXPECT_EQ(Rendered(report.issues), expected_issues);
+    ExpectSameTable(expected, **loaded->sources[0].database.table("wide"));
+    std::filesystem::remove_all(directory_);
+  }
+}
+
+TEST_F(ScenarioIoTest, LoadIsTracedAndCounted) {
+  PaperExampleOptions options;
+  options.album_count = 20;
+  options.song_count = 30;
+  auto scenario = MakePaperExample(options);
+  ASSERT_TRUE(scenario.ok());
+  ASSERT_TRUE(SaveScenario(*scenario, directory_).ok());
+  size_t table_files = 0;
+  uint64_t file_bytes = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(directory_)) {
+    if (entry.path().extension() == ".csv") {
+      ++table_files;
+      file_bytes += entry.file_size();
+    }
+  }
+  ASSERT_GT(table_files, 0u);
+
+  Counter& rows = MetricsRegistry::Global().GetCounter("scenario.load.rows");
+  Counter& bytes = MetricsRegistry::Global().GetCounter("scenario.load.bytes");
+  const uint64_t rows_before = rows.Value();
+  const uint64_t bytes_before = bytes.Value();
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Clear();
+  recorder.set_enabled(true);
+  auto loaded = LoadScenario(directory_);
+  recorder.set_enabled(false);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  size_t total_rows = loaded->target.TotalRowCount();
+  for (const SourceBinding& source : loaded->sources) {
+    total_rows += source.database.TotalRowCount();
+  }
+  EXPECT_EQ(rows.Value() - rows_before, total_rows);
+  EXPECT_EQ(bytes.Value() - bytes_before, file_bytes);
+  size_t load_spans = 0;
+  size_t table_spans = 0;
+  for (const TraceEvent& event : recorder.events()) {
+    if (event.name == "scenario.load") ++load_spans;
+    if (event.name == "scenario.load.table") ++table_spans;
+  }
+  EXPECT_EQ(load_spans, 1u);
+  EXPECT_EQ(table_spans, table_files);
+  recorder.Clear();
 }
 
 TEST_F(ScenarioIoTest, EmptyTablesNeedNoCsvFiles) {

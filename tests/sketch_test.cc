@@ -16,11 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "efes/cache/profile_cache.h"
+#include "efes/common/file_io.h"
 #include "efes/common/parallel.h"
 #include "efes/common/random.h"
 #include "efes/profiling/profiler.h"
 #include "efes/profiling/statistics.h"
 #include "efes/relational/value.h"
+#include "test_paths.h"
 
 namespace efes {
 namespace {
@@ -223,6 +226,82 @@ TEST(SketchBudget, ExactModeFailsWhereSketchAndAutoDegrade) {
   auto unlimited = ProfileColumn(column, DataType::kText);
   ASSERT_TRUE(unlimited.ok());
   EXPECT_EQ(unlimited->constancy.distinct_count, distinct.size());
+}
+
+/// The text and cache-snapshot renderings of a real column absorbed from
+/// text cells, as `efes profile` and the profile cache see it.
+std::pair<std::string, std::string> RenderRealColumn(
+    const std::vector<std::string>& cells) {
+  StatisticsSketch sketch(DataType::kReal, ProfileOptions{});
+  for (const std::string& cell : cells) {
+    EXPECT_TRUE(sketch.Absorb(Value::Text(cell)).ok());
+  }
+  const AttributeStatistics stats = sketch.Finalize();
+  ProfileCache cache;
+  cache.StoreStatistics(1, stats);
+  const std::string path = TestScratchPath("efes_sketch_nonfinite");
+  EXPECT_TRUE(cache.SaveToFile(path).ok());
+  Result<std::string> snapshot = ReadFileToString(path);
+  EXPECT_TRUE(snapshot.ok());
+  return {stats.ToString(), snapshot.ok() ? *snapshot : ""};
+}
+
+TEST(SketchHistogramTest, NonFiniteNumbersKeepTheirPinnedBuckets) {
+  // strtod reads "nan" and "inf", so they profile as reals. A NaN sample,
+  // and every sample of an infinite range (its bucket width is infinite),
+  // has no finite bucket position; each lands in the last bucket.
+  const auto [nan_text, nan_snapshot] =
+      RenderRealColumn({"1.5", "nan", "2.5", "3.5"});
+  EXPECT_EQ(nan_text,
+            "statistics (vs real)\n"
+            "  fill: 4 rows, 0 null, 0 uncastable (fill 1)\n"
+            "  constancy: 0 (4 distinct / 4 values)\n"
+            "  mean: nan stddev nan\n"
+            "  range: [1.5, 3.5]\n"
+            "  top values (coverage 1): 1.5 (0.25) 2.5 (0.25) 3.5 (0.25)\n");
+  EXPECT_EQ(nan_snapshot,
+            "EFESCACHE 2\n"
+            "S 0000000000000001 3 4 0 0 0x0p+0 4 4 0 0 0 1 nan nan 1 "
+            "0x1.8p+0 0x1.cp+1 16 0x1p-2 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 "
+            "0x0p+0 0x0p+0 0x1p-2 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 "
+            "0x1p-1 1 0x1.8p+0 0x1.cp+1 0x1p+0 4 t1.5 0x1p-2 t2.5 0x1p-2 "
+            "t3.5 0x1p-2 tnan 0x1p-2\n");
+
+  const auto [inf_text, inf_snapshot] = RenderRealColumn({"1.5", "inf", "2.5"});
+  EXPECT_EQ(inf_text,
+            "statistics (vs real)\n"
+            "  fill: 3 rows, 0 null, 0 uncastable (fill 1)\n"
+            "  constancy: 0 (3 distinct / 3 values)\n"
+            "  mean: inf stddev -nan\n"
+            "  range: [1.5, inf]\n"
+            "  top values (coverage 1): 1.5 (0.333) 2.5 (0.333) inf "
+            "(0.333)\n");
+  EXPECT_EQ(inf_snapshot,
+            "EFESCACHE 2\n"
+            "S 0000000000000001 3 3 0 0 0x0p+0 3 3 0 0 0 1 inf -nan 1 "
+            "0x1.8p+0 inf 16 0x1.5555555555555p-1 0x0p+0 0x0p+0 0x0p+0 "
+            "0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 "
+            "0x0p+0 0x0p+0 0x1.5555555555555p-2 1 0x1.8p+0 inf 0x1p+0 3 "
+            "t1.5 0x1.5555555555555p-2 t2.5 0x1.5555555555555p-2 tinf "
+            "0x1.5555555555555p-2\n");
+
+  // A NaN first makes the range NaN too; -inf makes it infinite.
+  for (const std::vector<std::string>& cells :
+       {std::vector<std::string>{"nan", "1.5", "2.5"},
+        std::vector<std::string>{"-inf", "1.5", "2.5"},
+        std::vector<std::string>{"1e308", "-1e308", "0"}}) {
+    StatisticsSketch sketch(DataType::kReal, ProfileOptions{});
+    for (const std::string& cell : cells) {
+      ASSERT_TRUE(sketch.Absorb(Value::Text(cell)).ok());
+    }
+    const AttributeStatistics stats = sketch.Finalize();
+    ASSERT_TRUE(stats.histogram.has_value());
+    const std::vector<double>& buckets = stats.histogram->bucket_fractions;
+    ASSERT_EQ(buckets.size(), HistogramStats::kBucketCount);
+    const double last = cells[0] == "1e308" ? 1.0 / 3 : 1.0;
+    EXPECT_DOUBLE_EQ(buckets.back(), last) << cells[0];
+    EXPECT_DOUBLE_EQ(buckets.front(), 1.0 - last) << cells[0];
+  }
 }
 
 TEST(ValueBloomTest, SubsetPruningIsSound) {
