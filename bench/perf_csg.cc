@@ -3,7 +3,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_json.h"
 #include "efes/common/random.h"
 #include "efes/csg/builder.h"
 #include "efes/csg/path_search.h"
@@ -77,22 +76,7 @@ void BM_PathViolationCounting(benchmark::State& state) {
 }
 BENCHMARK(BM_PathViolationCounting)->Arg(500)->Arg(2000)->Arg(8000);
 
-/// CSG build + path search; BuildCsg and the violation counter emit the
-/// csg.* metrics themselves.
-void JsonLineWorkload() {
-  Database db = ScaledSource(2000);
-  Csg csg = BuildCsg(db);
-  NodeId start = *csg.graph.FindTableNode("albums");
-  NodeId end = *csg.graph.FindAttributeNode("artist_credits", "artist");
-  auto best = FindBestPath(csg.graph, start, end);
-  benchmark::DoNotOptimize(csg.instance.CountPathViolations(
-      csg.graph, best->path, Cardinality::Exactly(1)));
-}
-
 }  // namespace
 }  // namespace efes
 
-int main(int argc, char** argv) {
-  return efes::bench::BenchMain(argc, argv, "perf_csg",
-                                efes::JsonLineWorkload);
-}
+BENCHMARK_MAIN();

@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_json.h"
 #include "efes/dedup/dedup_module.h"
 #include "efes/experiment/default_pipeline.h"
 #include "efes/scenario/fuzzer.h"
@@ -61,19 +60,7 @@ void BM_FuzzScenarioGeneration(benchmark::State& state) {
 BENCHMARK(BM_FuzzScenarioGeneration)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
-/// One dedup assessment over a mid-size fuzz; the emitted counters cover
-/// profiling and the dedup detector.
-void JsonLineWorkload() {
-  FuzzedScenario fuzzed = ScaledFuzz(400);
-  EfesEngine engine = MakeDefaultEngine();
-  auto result = engine.Run(fuzzed.scenario);
-  benchmark::DoNotOptimize(result->estimate.TotalMinutes());
-}
-
 }  // namespace
 }  // namespace efes
 
-int main(int argc, char** argv) {
-  return efes::bench::BenchMain(argc, argv, "perf_dedup",
-                                efes::JsonLineWorkload);
-}
+BENCHMARK_MAIN();

@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_json.h"
 #include "efes/experiment/default_pipeline.h"
 #include "efes/scenario/paper_example.h"
 
@@ -51,19 +50,7 @@ void BM_ComplexityAssessmentOnly(benchmark::State& state) {
 BENCHMARK(BM_ComplexityAssessmentOnly)->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
-/// One full estimation run; the emitted counters cover the engine,
-/// profiling, and per-module task planning.
-void JsonLineWorkload() {
-  IntegrationScenario scenario = ScaledScenario(2000);
-  EfesEngine engine = MakeDefaultEngine();
-  auto result = engine.Run(scenario);
-  benchmark::DoNotOptimize(result->estimate.TotalMinutes());
-}
-
 }  // namespace
 }  // namespace efes
 
-int main(int argc, char** argv) {
-  return efes::bench::BenchMain(argc, argv, "perf_detectors",
-                                efes::JsonLineWorkload);
-}
+BENCHMARK_MAIN();

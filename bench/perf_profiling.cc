@@ -1,26 +1,17 @@
 // Performance benchmarks for the Section 5.1 statistics through the
-// chunked, budgeted profiler (profiling/profiler.h).
-//
-// Two workload shapes:
-//   - default: a 32-column in-memory batch through ProfileColumns, wide
-//     enough that --threads scaling and the profile-cache cold/warm
-//     delta show up in the JSON lines;
-//   - --rows=<n>: an out-of-core sweep — 8 column streams of n rows
-//     each, generated chunk-by-chunk and absorbed into budgeted
-//     sketches, so the input never exists whole in memory. This is the
-//     scale regime (rows=1e6/1e7) a profile over a materialized
-//     column cannot reach under the same --max-memory budget.
+// chunked, budgeted profiler (profiling/profiler.h): single columns, a
+// 32-column batch through ProfileColumns, and BM_ScaledWorkload, an
+// out-of-core sweep — 8 column streams generated chunk-by-chunk and
+// absorbed into budgeted sketches, so the input never exists whole in
+// memory.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
-#include "bench_json.h"
-#include "efes/common/clock.h"
-#include "efes/common/flags.h"
-#include "efes/common/metrics.h"
 #include "efes/common/parallel.h"
 #include "efes/common/random.h"
 #include "efes/profiling/profiler.h"
@@ -57,7 +48,7 @@ std::vector<Value> RandomNumericColumn(size_t n, uint64_t seed = 77) {
 
 /// Sketch-mode options with a budget an exact whole-column profile of
 /// the text columns could not satisfy: 1 MiB per sketch versus tens of
-/// MiB of distinct values at the --rows scales below.
+/// MiB of distinct values at the BM_ScaledWorkload sizes below.
 ProfileOptions SketchBudgetOptions() {
   ProfileOptions options;
   options.chunk_rows = 65536;
@@ -135,48 +126,14 @@ void BM_ProfileColumns(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileColumns);
 
-/// The default workload's input: 32 columns of 20000 values, every
-/// column with its own seed so all 32 contents (and therefore cache
-/// keys) are distinct. Generated once — the timed section below
-/// measures profiling, not data generation.
-const std::vector<std::vector<Value>>& WorkloadColumns() {
-  static const std::vector<std::vector<Value>> columns = [] {
-    std::vector<std::vector<Value>> generated;
-    for (size_t i = 0; i < 32; ++i) {
-      generated.push_back(i % 2 == 0 ? RandomTextColumn(20000, 99 + i)
-                                     : RandomNumericColumn(20000, 777 + i));
-    }
-    return generated;
-  }();
-  return columns;
-}
-
-/// Representative workload for the telemetry JSON line: a 32-column
-/// batch profile (wide enough that --threads scaling shows up in
-/// wall_ms) plus one pairwise fit comparison.
-void JsonLineWorkload() {
-  const std::vector<std::vector<Value>>& columns = WorkloadColumns();
-  std::vector<ProfileRequest> requests;
-  for (size_t i = 0; i < columns.size(); ++i) {
-    requests.push_back(ProfileRequest{
-        &columns[i], i % 2 == 0 ? DataType::kText : DataType::kInteger});
-  }
-  auto batch = ProfileColumns(requests);
-  benchmark::DoNotOptimize(batch);
-  if (batch.ok() && batch->size() >= 4) {
-    benchmark::DoNotOptimize(OverallFit((*batch)[0], (*batch)[2]));
-  }
-}
-
-// --- scaled out-of-core workload (--rows=<n>) ------------------------------
+// --- scaled out-of-core workload ------------------------------------------
 
 constexpr size_t kScaledStreams = 8;
 constexpr size_t kScaledChunkRows = 65536;
 
 /// Regenerates chunk `chunk_index` of stream `stream` into `out`. The
 /// seed depends only on (stream, chunk_index), so the stream's content
-/// is deterministic however the chunks are iterated — the out-of-core
-/// analog of WorkloadColumns' fixed seeds.
+/// is deterministic however the chunks are iterated.
 void GenerateChunk(size_t stream, size_t chunk_index, size_t count,
                    std::vector<Value>* out) {
   out->clear();
@@ -200,22 +157,9 @@ void GenerateChunk(size_t stream, size_t chunk_index, size_t count,
 /// Streams 8 columns of `rows` values each through budgeted sketches:
 /// every chunk is generated, absorbed, and discarded, so peak memory is
 /// one chunk plus one capped sketch per stream regardless of `rows`.
-/// Counters and the profile-time histogram mirror ProfileColumn's
-/// instrumentation so the emitted JSON line carries the same fields as
-/// the default workload.
 void ScaledWorkload(size_t rows) {
-  static Counter& columns_profiled =
-      MetricsRegistry::Global().GetCounter("profiling.statistics.columns");
-  static Counter& cells_scanned =
-      MetricsRegistry::Global().GetCounter("profiling.statistics.cells");
-  static Counter& chunks_absorbed =
-      MetricsRegistry::Global().GetCounter("profiling.statistics.chunks");
-  static Histogram& compute_ms =
-      MetricsRegistry::Global().GetHistogram("profiling.statistics.ms");
-
   const ProfileOptions options = SketchBudgetOptions();
   auto finalized = ParallelMap(kScaledStreams, [&](size_t stream) {
-        const int64_t start_nanos = Clock::Default()->NowNanos();
         const DataType type =
             stream % 2 == 0 ? DataType::kText : DataType::kInteger;
         StatisticsSketch sketch(type, options);
@@ -227,22 +171,14 @@ void ScaledWorkload(size_t rows) {
           GenerateChunk(stream, chunk_index, count, &chunk);
           Status status = sketch.AbsorbRange(chunk, 0, chunk.size());
           if (!status.ok()) {
-            // Unreachable in sketch mode (only exact-mode budgets fail);
-            // a wrong result here would poison the trajectory file.
+            // Unreachable in sketch mode (only exact-mode budgets fail).
             std::fprintf(stderr, "perf_profiling: absorb failed: %s\n",
                          status.ToString().c_str());
             std::abort();
           }
-          chunks_absorbed.Increment();
           absorbed += count;
         }
-        AttributeStatistics stats = sketch.Finalize();
-        columns_profiled.Increment();
-        cells_scanned.Increment(rows);
-        compute_ms.Observe(
-            static_cast<double>(Clock::Default()->NowNanos() - start_nanos) /
-            1e6);
-        return stats;
+        return sketch.Finalize();
   });
   if (!finalized.ok()) {
     std::fprintf(stderr, "perf_profiling: scaled workload failed: %s\n",
@@ -255,41 +191,18 @@ void ScaledWorkload(size_t rows) {
   }
 }
 
-/// "1e6"-style label for exact powers of ten, plain digits otherwise.
-std::string RowsLabel(size_t rows) {
-  size_t power = 0;
-  size_t value = rows;
-  while (value >= 10 && value % 10 == 0) {
-    value /= 10;
-    ++power;
+void BM_ScaledWorkload(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    ScaledWorkload(rows);
   }
-  if (value == 1 && power > 0) return "1e" + std::to_string(power);
-  return std::to_string(rows);
+  state.SetItemsProcessed(state.iterations() * state.range(0) *
+                          static_cast<int64_t>(kScaledStreams));
 }
+BENCHMARK(BM_ScaledWorkload)->Arg(1 << 18)->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace efes
 
-int main(int argc, char** argv) {
-  // --rows=<n> switches to the out-of-core workload; stripped before
-  // google-benchmark (which rejects unknown flags) sees the argv.
-  static size_t rows = 0;
-  {
-    efes::FlagSet flags;
-    flags.AddUint("rows", "<n>",
-                  "rows per stream for the scaled out-of-core workload",
-                  &rows);
-    flags.ParseArgvKeepUnknown(&argc, argv);
-  }
-  if (rows > 0) {
-    const std::string name =
-        "perf_profiling_rows" + efes::RowsLabel(rows);
-    return efes::bench::BenchMain(argc, argv, name,
-                                  [] { efes::ScaledWorkload(rows); });
-  }
-  // Generate the workload input before anything is timed, so the
-  // cold/warm delta measures profiling work only.
-  efes::WorkloadColumns();
-  return efes::bench::BenchMain(argc, argv, "perf_profiling",
-                                efes::JsonLineWorkload);
-}
+BENCHMARK_MAIN();

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <iterator>
+#include <map>
 #include <set>
 #include <utility>
 
 #include "efes/common/json_writer.h"
+#include "efes/lint/analyze.h"
+#include "efes/lint/summary.h"
 #include "efes/lint/token.h"
 
 namespace efes::lint {
@@ -22,20 +25,14 @@ constexpr std::string_view kUnboundedWait = "unbounded-wait";
 constexpr std::string_view kMetricName = "metric-name";
 constexpr std::string_view kBadSuppression = "bad-suppression";
 
-/// Check ids a suppression may name (bad-suppression itself is not
-/// suppressible — the escape hatch must stay auditable).
+/// Check ids a suppression may name: the per-file tier, then the
+/// whole-program tier (analyze.h). bad-suppression itself is not
+/// suppressible — the escape hatch must stay auditable.
 constexpr std::string_view kSuppressibleChecks[] = {
-    kDiscardedStatus, kNondeterminism, kUnorderedIteration,
-    kRawFileWrite,    kHeaderHygiene,  kBannedFunction,
-    kUnboundedWait,   kMetricName};
-
-bool PathMatchesAny(std::string_view path,
-                    const std::vector<std::string>& patterns) {
-  for (const std::string& p : patterns) {
-    if (path.find(p) != std::string_view::npos) return true;
-  }
-  return false;
-}
+    kDiscardedStatus, kNondeterminism,   kUnorderedIteration,
+    kRawFileWrite,    kHeaderHygiene,    kBannedFunction,
+    kUnboundedWait,   kMetricName,       "lock-discipline",
+    "cancellation",   "layering",        "registry"};
 
 bool IsHeaderPath(std::string_view path) {
   auto ends_with = [&](std::string_view suffix) {
@@ -43,14 +40,6 @@ bool IsHeaderPath(std::string_view path) {
            path.substr(path.size() - suffix.size()) == suffix;
   };
   return ends_with(".h") || ends_with(".hh") || ends_with(".hpp");
-}
-
-bool IsIdent(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::kIdentifier && t.text == text;
-}
-
-bool IsPunct(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::kPunct && t.text == text;
 }
 
 /// An EFES_LINT_ALLOW occurrence parsed out of a comment.
@@ -122,76 +111,18 @@ void CollectSuppressions(const std::vector<Token>& tokens,
   }
 }
 
-/// Index of the matching ')' for the '(' at `open`, or npos. Operates on
-/// the code-token vector (comments already filtered out).
-size_t MatchParen(const std::vector<Token>& code, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < code.size(); ++i) {
-    if (IsPunct(code[i], "(")) ++depth;
-    if (IsPunct(code[i], ")")) {
-      --depth;
-      if (depth == 0) return i;
-    }
-  }
-  return std::string_view::npos;
-}
+/// Names of Status/Result-returning functions, collected over every
+/// file before any discarded-status check runs.
+struct StatusIndex {
+  std::set<std::string, std::less<>> status_functions;
+  /// Names also declared with a non-Status return type somewhere in the
+  /// indexed tree; discarded-status skips these (ambiguous by name).
+  std::set<std::string, std::less<>> non_status_functions;
+};
 
-/// After code[i] == "<", returns the index one past the balanced closing
-/// angle bracket, treating ">>" as two closers. Returns npos when no
-/// close is found within a sane window (then it was a comparison).
-size_t SkipAngles(const std::vector<Token>& code, size_t i) {
-  int depth = 0;
-  size_t limit = std::min(code.size(), i + 256);
-  for (size_t k = i; k < limit; ++k) {
-    if (code[k].kind != TokenKind::kPunct) continue;
-    if (code[k].text == "<") ++depth;
-    if (code[k].text == ">") --depth;
-    if (code[k].text == ">>") depth -= 2;
-    if (depth <= 0) return k + 1;
-  }
-  return std::string_view::npos;
-}
-
-}  // namespace
-
-bool IsDottedMetricName(std::string_view name) {
-  bool seen_dot = false;
-  bool segment_char = false;
-  for (char c : name) {
-    if (c == '.') {
-      if (!segment_char) return false;  // empty segment
-      seen_dot = true;
-      segment_char = false;
-      continue;
-    }
-    if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_') {
-      segment_char = true;
-      continue;
-    }
-    return false;
-  }
-  return seen_dot && segment_char;
-}
-
-const std::vector<std::string>& AllCheckIds() {
-  static const std::vector<std::string>* ids = []() {
-    auto* v = new std::vector<std::string>();  // EFES_LINT_ALLOW(banned-function): intentionally leaked function-local singleton
-    for (std::string_view id : kSuppressibleChecks) v->emplace_back(id);
-    v->emplace_back(kBadSuppression);
-    return v;
-  }();
-  return *ids;
-}
-
-Linter::Linter(LintConfig config) : config_(std::move(config)) {}
-
-void Linter::IndexFile(std::string_view /*path*/, std::string_view content) {
-  std::vector<Token> tokens = Tokenize(content);
-  std::vector<Token> code;
-  code.reserve(tokens.size());
-  for (const Token& t : tokens) {
-    if (t.kind != TokenKind::kComment) code.push_back(t);
-  }
+/// Records the functions `code` declares or defines as returning Status
+/// or Result<T>, and the names it declares with another return type.
+void IndexFile(const std::vector<Token>& code, StatusIndex* index) {
   // A function "returns Status/Result" when the token stream reads
   //   Status [Qualifier ::]* Name (          or
   //   Result < ... > [Qualifier ::]* Name (
@@ -220,7 +151,7 @@ void Linter::IndexFile(std::string_view /*path*/, std::string_view content) {
         continue;
       }
       if (IsPunct(code[k + 1], "(")) {
-        status_functions_.emplace(last_name);
+        index->status_functions.emplace(last_name);
       }
       break;
     }
@@ -245,38 +176,30 @@ void Linter::IndexFile(std::string_view /*path*/, std::string_view content) {
         first == "co_yield" || first == "co_await") {
       continue;
     }
-    non_status_functions_.emplace(code[i + 1].text);
+    index->non_status_functions.emplace(code[i + 1].text);
   }
 }
 
-void Linter::CheckFile(std::string_view path, std::string_view content,
-                       std::vector<Finding>* findings) const {
-  std::vector<Token> tokens = Tokenize(content);
-  std::vector<Finding> raw;
-  std::vector<Suppression> suppressions;
-  CollectSuppressions(tokens, path, &suppressions, &raw);
-
-  std::vector<Token> code;
-  code.reserve(tokens.size());
-  for (const Token& t : tokens) {
-    if (t.kind != TokenKind::kComment) code.push_back(t);
-  }
+/// Runs every per-file check on `code`, appending to `findings`.
+void CheckFile(std::string_view path, const std::vector<Token>& code,
+               const LintConfig& config, const StatusIndex& index,
+               std::vector<Finding>* findings) {
   auto add = [&](std::string_view check, int line, std::string message) {
-    raw.push_back(
+    findings->push_back(
         {std::string(path), line, std::string(check), std::move(message),
          false});
   };
   const bool header = IsHeaderPath(path);
   const bool allow_nondet =
-      PathMatchesAny(path, config_.nondeterminism_allowlist);
+      PathMatchesAny(path, config.nondeterminism_allowlist);
   const bool allow_raw_write =
-      PathMatchesAny(path, config_.raw_file_write_allowlist);
+      PathMatchesAny(path, config.raw_file_write_allowlist);
   const bool allow_banned =
-      PathMatchesAny(path, config_.banned_function_allowlist);
+      PathMatchesAny(path, config.banned_function_allowlist);
   const bool allow_unbounded_wait =
-      PathMatchesAny(path, config_.unbounded_wait_allowlist);
+      PathMatchesAny(path, config.unbounded_wait_allowlist);
   const bool ordered_output =
-      PathMatchesAny(path, config_.ordered_output_paths);
+      PathMatchesAny(path, config.ordered_output_paths);
 
   // ---- header-hygiene -------------------------------------------------
   if (header) {
@@ -464,8 +387,8 @@ void Linter::CheckFile(std::string_view path, std::string_view content,
     // ---- unordered-iteration (decl tracking happens below) -----------
 
     // ---- discarded-status --------------------------------------------
-    if (called && status_functions_.count(t.text) > 0 &&
-        non_status_functions_.count(t.text) == 0) {
+    if (called && index.status_functions.count(t.text) > 0 &&
+        index.non_status_functions.count(t.text) == 0) {
       // Walk back over the qualifier/member chain to the statement anchor.
       size_t chain = i;
       while (chain >= 2 &&
@@ -572,35 +495,98 @@ void Linter::CheckFile(std::string_view path, std::string_view content,
       }
     }
   }
+}
 
-  // ---- apply suppressions --------------------------------------------
-  for (Finding& f : raw) {
-    if (f.check == kBadSuppression) continue;
-    for (const Suppression& s : suppressions) {
-      if (s.check == f.check && (s.line == f.line || s.line == f.line - 1)) {
-        f.suppressed = true;
-        break;
-      }
+}  // namespace
+
+bool IsDottedMetricName(std::string_view name) {
+  bool seen_dot = false;
+  bool segment_char = false;
+  for (char c : name) {
+    if (c == '.') {
+      if (!segment_char) return false;  // empty segment
+      seen_dot = true;
+      segment_char = false;
+      continue;
     }
+    if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_') {
+      segment_char = true;
+      continue;
+    }
+    return false;
   }
-  std::sort(raw.begin(), raw.end(), [](const Finding& a, const Finding& b) {
-    if (a.line != b.line) return a.line < b.line;
-    if (a.check != b.check) return a.check < b.check;
-    return a.message < b.message;
-  });
-  findings->insert(findings->end(), std::make_move_iterator(raw.begin()),
-                   std::make_move_iterator(raw.end()));
+  return seen_dot && segment_char;
+}
+
+const std::vector<std::string>& AllCheckIds() {
+  static const std::vector<std::string>* ids = []() {
+    auto* v = new std::vector<std::string>();  // EFES_LINT_ALLOW(banned-function): intentionally leaked function-local singleton
+    for (std::string_view id : kSuppressibleChecks) v->emplace_back(id);
+    v->emplace_back(kBadSuppression);
+    return v;
+  }();
+  return *ids;
+}
+
+Linter::Linter(LintConfig config) : config_(std::move(config)) {}
+
+void Linter::SetRegistry(RegistryManifests manifests) {
+  registry_ = std::move(manifests);
 }
 
 std::vector<Finding> Linter::Run(
     const std::vector<std::pair<std::string, std::string>>& files) const {
-  Linter pass(config_);
-  for (const auto& [path, content] : files) {
-    pass.IndexFile(path, content);
-  }
+  // One tokenization per file; `code` (comments filtered out) feeds the
+  // index, the per-file checks and the summaries alike.
+  std::vector<std::vector<Token>> code(files.size());
+  std::vector<std::vector<Suppression>> suppressions(files.size());
   std::vector<Finding> findings;
-  for (const auto& [path, content] : files) {
-    pass.CheckFile(path, content, &findings);
+  StatusIndex index;
+  for (size_t f = 0; f < files.size(); ++f) {
+    const auto& [path, content] = files[f];
+    std::vector<Token> tokens = Tokenize(content);
+    CollectSuppressions(tokens, path, &suppressions[f], &findings);
+    code[f].reserve(tokens.size());
+    for (const Token& t : tokens) {
+      if (t.kind != TokenKind::kComment) code[f].push_back(t);
+    }
+    IndexFile(code[f], &index);
+  }
+  std::vector<FileSummary> summaries;
+  for (size_t f = 0; f < files.size(); ++f) {
+    const std::string& path = files[f].first;
+    CheckFile(path, code[f], config_, index, &findings);
+    if (!PathMatchesAny(path, config_.per_file_only_paths)) {
+      summaries.push_back(Summarize(path, code[f], config_.summary));
+    }
+  }
+  CheckProgram(summaries, config_, registry_ ? &*registry_ : nullptr,
+               &findings);
+
+  std::sort(findings.begin(), findings.end(),
+            [](const Finding& a, const Finding& b) {
+              if (a.file != b.file) return a.file < b.file;
+              if (a.line != b.line) return a.line < b.line;
+              if (a.check != b.check) return a.check < b.check;
+              return a.message < b.message;
+            });
+  // A suppression covers its own line and the one below. Findings in
+  // files outside `files` (the registry manifests) have none.
+  std::map<std::string_view, const std::vector<Suppression>*> by_path;
+  for (size_t f = 0; f < files.size(); ++f) {
+    by_path.emplace(files[f].first, &suppressions[f]);
+  }
+  for (Finding& finding : findings) {
+    if (finding.check == kBadSuppression) continue;
+    auto it = by_path.find(finding.file);
+    if (it == by_path.end()) continue;
+    for (const Suppression& s : *it->second) {
+      if (s.check == finding.check &&
+          (s.line == finding.line || s.line == finding.line - 1)) {
+        finding.suppressed = true;
+        break;
+      }
+    }
   }
   return findings;
 }

@@ -1,14 +1,18 @@
-// efes_lint: project-invariant static analysis for the EFES tree.
+// efes_lint: project-invariant static analysis for the EFES tree
+// (DESIGN.md §10).
 //
-// The guarantees PRs 1-3 established at runtime — bit-identical parallel
-// output, contained module failures, atomic file writes — are easy to
-// regress silently at the source level: an ignored Status, an
-// unordered_map iterated straight into a report, a raw ofstream that
-// bypasses WriteFileAtomic. This linter encodes those invariants as
-// machine-checked rules over the token stream (see token.h), runs as a
-// tier-1 ctest, and fails the build on any unsuppressed finding.
+// The guarantees the runtime establishes — bit-identical parallel
+// output, contained module failures, atomic file writes, cancellable
+// estimation — are easy to regress silently at the source level: an
+// ignored Status, an unordered_map iterated straight into a report, a
+// raw ofstream that bypasses WriteFileAtomic, a guarded member read
+// without its lock. The linter encodes those invariants as machine-
+// checked rules over the token stream (see token.h), runs as a tier-1
+// ctest, and fails the build on any unsuppressed finding.
 //
-// Check catalog (ids as they appear in findings and suppressions):
+// One run reads and tokenizes each file once and feeds two tiers.
+//
+// Per-file checks (every path given):
 //
 //   discarded-status    A call to a function returning Status/Result<T>
 //                       whose result is discarded without `(void)`.
@@ -42,21 +46,34 @@
 //                       does not follow the dotted lowercase
 //                       `module.phase.metric` scheme (two or more
 //                       [a-z0-9_]+ segments).
+//
+// Whole-program checks (every path outside
+// LintConfig::per_file_only_paths; catalog in analyze.h):
+// lock-discipline, cancellation, layering, and registry (the last only
+// with manifests, see Linter::SetRegistry).
+//
+// And for both tiers:
+//
 //   bad-suppression     An EFES_LINT_ALLOW comment with an unknown check
 //                       id or without a reason.
 //
 // Suppressions: `// EFES_LINT_ALLOW(<check-id>): <reason>` silences
-// findings of that check on the same line and the line below. The reason
-// is mandatory; a reasonless or unknown-check suppression is itself a
-// finding (bad-suppression), so the escape hatch stays auditable.
+// findings of that check, of either tier, on the same line and the line
+// below. The reason is mandatory; a reasonless or unknown-check
+// suppression is itself a finding (bad-suppression), so the escape
+// hatch stays auditable.
 
 #ifndef EFES_LINT_LINT_H_
 #define EFES_LINT_LINT_H_
 
-#include <set>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "efes/lint/registry.h"
+#include "efes/lint/summary.h"
 
 namespace efes::lint {
 
@@ -73,9 +90,18 @@ struct Finding {
   bool suppressed = false;
 };
 
-/// Where each class of construct is legitimate. Entries are
-/// forward-slash path substrings matched against the linted file's path.
+/// One directory-substring → layer-rank rule. Includes may point to the
+/// same or a lower rank; an edge to a strictly higher rank is a
+/// back-edge finding.
+struct LayerRule {
+  std::string dir;
+  int rank = 0;
+};
+
+/// Where each class of construct is legitimate. Path entries are
+/// forward-slash substrings matched against the linted file's path.
 struct LintConfig {
+  // ---- per-file tier ----------------------------------------------------
   /// Files allowed to touch raw entropy/time sources.
   std::vector<std::string> nondeterminism_allowlist = {"common/random",
                                                        "common/clock"};
@@ -94,49 +120,80 @@ struct LintConfig {
       "experiment/visualization", "common/text_table",
       "common/json_writer",     "csg/render_dot",
       "core/engine"};
+
+  // ---- whole-program tier -----------------------------------------------
+  /// Paths only the per-file tier checks: test fakes are not estimation
+  /// roots, and test-only literals do not belong in the registry.
+  std::vector<std::string> per_file_only_paths = {"tests/", "bench/"};
+  /// Observability call sites and lock types the summaries record.
+  SummaryConfig summary;
+  /// The declared layer order. Same-rank directories may include each
+  /// other (cache<->profiling, core<->dedup are deliberate pairs; the
+  /// include-cycle check still rejects header cycles inside them).
+  std::vector<LayerRule> layers = {
+      {"efes/common/", 0},
+      {"efes/lint/", 1},       {"efes/telemetry/", 1},
+      {"efes/relational/", 2}, {"efes/provenance/", 2},
+      {"efes/cache/", 3},      {"efes/profiling/", 3},
+      {"efes/matching/", 4},   {"efes/csg/", 4},
+      {"efes/core/", 5},       {"efes/dedup/", 5},
+      {"efes/mapping/", 5},    {"efes/structure/", 5},
+      {"efes/values/", 5},     {"efes/baseline/", 5},
+      {"efes/execute/", 6},    {"efes/scenario/", 6},
+      {"efes/experiment/", 7},
+      {"efes/serve/", 8},
+  };
+  /// Path substrings sitting above every layer (may include anything).
+  std::vector<std::string> top_paths = {"tools/", "tests/", "bench/"};
+  /// Function names that are cancellation roots when defined under
+  /// `checkpoint_dirs`.
+  std::vector<std::string> checkpoint_roots = {"AssessComplexity", "Run"};
+  /// Directories whose roots (and ParallelFor/ParallelMap callers) must
+  /// reach the checkpoint.
+  std::vector<std::string> checkpoint_dirs = {
+      "efes/core/",   "efes/serve/",     "efes/execute/",
+      "efes/mapping/", "efes/structure/", "efes/values/",
+      "efes/dedup/",  "efes/baseline/"};
+  std::string checkpoint_function = "CheckCancellation";
+  /// Calling one of these also makes a function a root: a fan-out point
+  /// must stay cancellable (today they are, via ParallelFor's own entry
+  /// checkpoint — this is the regression guard for exactly that).
+  std::vector<std::string> parallel_primitives = {"ParallelFor",
+                                                  "ParallelMap"};
 };
 
-/// Names of all checks, for --list-checks and validation.
+/// Names of all checks, per-file tier first, then the whole-program
+/// tier, then bad-suppression (for --list-checks and validation).
 const std::vector<std::string>& AllCheckIds();
 
 /// True for dotted lowercase metric/span names: two or more [a-z0-9_]+
-/// segments joined by single dots (`module.phase.metric`). Shared with
-/// efes_analyze, whose registry check collects exactly these literals.
+/// segments joined by single dots (`module.phase.metric`). The
+/// metric-name check enforces it; the registry check collects exactly
+/// these literals.
 bool IsDottedMetricName(std::string_view name);
 
-/// Two-pass linter. Feed every file to IndexFile first (collects the
-/// names of Status/Result-returning functions tree-wide), then run
-/// CheckFile per file. Both passes are pure functions of their inputs,
-/// so output is deterministic for a fixed file set and order.
+/// Runs both tiers over a set of in-memory files. Run is a pure function
+/// of its inputs, so output is deterministic for a fixed file set.
 class Linter {
  public:
   Linter() : Linter(LintConfig()) {}
   explicit Linter(LintConfig config);
 
-  /// Pass 1: records functions declared/defined as returning Status or
-  /// Result<T> in `content`.
-  void IndexFile(std::string_view path, std::string_view content);
+  /// Installs the registry manifests and enables the registry check
+  /// (without them the check is skipped — the CLI notes it on stderr).
+  void SetRegistry(RegistryManifests manifests);
 
-  /// Pass 2: runs every check on `content`, appending to `findings`.
-  void CheckFile(std::string_view path, std::string_view content,
-                 std::vector<Finding>* findings) const;
-
-  /// Convenience: index-then-check over in-memory files (used by tests).
-  /// Each element is a {path, content} pair.
+  /// Tokenizes each {path, content} pair once; indexes the Status/
+  /// Result-returning function names, runs the per-file checks, then
+  /// summarizes the files outside per_file_only_paths for the whole-
+  /// program checks. All findings come back sorted by (file, line,
+  /// check, message), with EFES_LINT_ALLOW applied.
   std::vector<Finding> Run(
       const std::vector<std::pair<std::string, std::string>>& files) const;
 
-  /// The function-name index built by IndexFile (exposed for tests).
-  const std::set<std::string, std::less<>>& status_functions() const {
-    return status_functions_;
-  }
-
  private:
   LintConfig config_;
-  std::set<std::string, std::less<>> status_functions_;
-  /// Names also declared with a non-Status return type somewhere in the
-  /// indexed tree; discarded-status skips these (ambiguous by name).
-  std::set<std::string, std::less<>> non_status_functions_;
+  std::optional<RegistryManifests> registry_;
 };
 
 /// Renders findings one per line: "file:line: [check] message". Appends a

@@ -1,4 +1,4 @@
-#include "efes/analyze/summary.h"
+#include "efes/lint/summary.h"
 
 #include <algorithm>
 #include <cstddef>
@@ -7,30 +7,12 @@
 #include <string>
 #include <utility>
 
-#include "efes/lint/token.h"
+#include "efes/lint/lint.h"
 
-namespace efes::analyze {
+namespace efes::lint {
 namespace {
 
-using lint::Token;
-using lint::TokenKind;
-
 constexpr size_t kNpos = std::string_view::npos;
-
-constexpr std::string_view kBadSuppression = "bad-suppression";
-
-/// Check ids an EFES_ANALYZE_ALLOW comment may name (bad-suppression is
-/// not suppressible, mirroring efes_lint).
-constexpr std::string_view kSuppressibleChecks[] = {
-    "lock-discipline", "cancellation", "layering", "registry"};
-
-bool IsIdent(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::kIdentifier && t.text == text;
-}
-
-bool IsPunct(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::kPunct && t.text == text;
-}
 
 bool Contains(const std::vector<std::string>& haystack,
               std::string_view needle) {
@@ -65,90 +47,6 @@ std::string Unquote(std::string_view text) {
   return std::string(text);
 }
 
-/// Same shape as efes_lint's suppression scanner, with the
-/// EFES_ANALYZE_ALLOW marker and the analyzer's check catalog.
-void CollectSuppressions(const std::vector<Token>& tokens,
-                         std::string_view path,
-                         std::vector<Suppression>* suppressions,
-                         std::vector<lint::Finding>* findings) {
-  constexpr std::string_view kMarker = "EFES_ANALYZE_ALLOW(";
-  for (const Token& t : tokens) {
-    if (t.kind != TokenKind::kComment) continue;
-    std::string_view text = t.text;
-    size_t pos = 0;
-    while ((pos = text.find(kMarker, pos)) != kNpos) {
-      int line = t.line + static_cast<int>(std::count(
-                              text.begin(), text.begin() + pos, '\n'));
-      size_t id_begin = pos + kMarker.size();
-      pos = id_begin;
-      if (id_begin >= text.size() || text[id_begin] < 'a' ||
-          text[id_begin] > 'z') {
-        continue;  // prose describing the syntax, not a suppression
-      }
-      size_t id_end = text.find(')', id_begin);
-      if (id_end == kNpos) continue;
-      std::string check(text.substr(id_begin, id_end - id_begin));
-      bool known = std::find(std::begin(kSuppressibleChecks),
-                             std::end(kSuppressibleChecks),
-                             check) != std::end(kSuppressibleChecks);
-      if (!known) {
-        findings->push_back({std::string(path), line,
-                             std::string(kBadSuppression),
-                             "EFES_ANALYZE_ALLOW names unknown check '" +
-                                 check + "'",
-                             false});
-        continue;
-      }
-      size_t r = id_end + 1;
-      if (r < text.size() && text[r] == ':') ++r;
-      size_t reason_end = text.find('\n', r);
-      if (reason_end == kNpos) reason_end = text.size();
-      std::string_view reason = text.substr(r, reason_end - r);
-      bool has_reason = false;
-      for (char c : reason) {
-        if (c != ' ' && c != '\t' && c != '*' && c != '/') {
-          has_reason = true;
-          break;
-        }
-      }
-      if (!has_reason) {
-        findings->push_back(
-            {std::string(path), line, std::string(kBadSuppression),
-             "EFES_ANALYZE_ALLOW(" + check + ") has no reason; write "
-             "EFES_ANALYZE_ALLOW(" + check + "): <why this is safe>",
-             false});
-        continue;
-      }
-      suppressions->push_back({std::move(check), line});
-    }
-  }
-}
-
-size_t MatchParen(const std::vector<Token>& code, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < code.size(); ++i) {
-    if (IsPunct(code[i], "(")) ++depth;
-    if (IsPunct(code[i], ")")) {
-      --depth;
-      if (depth == 0) return i;
-    }
-  }
-  return kNpos;
-}
-
-size_t SkipAngles(const std::vector<Token>& code, size_t i) {
-  int depth = 0;
-  size_t limit = std::min(code.size(), i + 256);
-  for (size_t k = i; k < limit; ++k) {
-    if (code[k].kind != TokenKind::kPunct) continue;
-    if (code[k].text == "<") ++depth;
-    if (code[k].text == ">") --depth;
-    if (code[k].text == ">>") depth -= 2;
-    if (depth <= 0) return k + 1;
-  }
-  return kNpos;
-}
-
 struct ClassScope {
   std::string name;
   int body_depth = 0;
@@ -174,19 +72,10 @@ struct OpenFunction {
 
 }  // namespace
 
-FileSummary Summarize(std::string_view path, std::string_view content,
+FileSummary Summarize(std::string_view path, const std::vector<Token>& code,
                       const SummaryConfig& config) {
   FileSummary out;
   out.path = std::string(path);
-
-  std::vector<Token> tokens = lint::Tokenize(content);
-  CollectSuppressions(tokens, path, &out.suppressions, &out.findings);
-
-  std::vector<Token> code;
-  code.reserve(tokens.size());
-  for (const Token& t : tokens) {
-    if (t.kind != TokenKind::kComment) code.push_back(t);
-  }
 
   std::vector<ClassScope> classes;
   std::vector<LockRegion> locks;
@@ -271,7 +160,7 @@ FileSummary Summarize(std::string_view path, std::string_view content,
               std::string name = Unquote(code[m].text);
               // Complete dotted names only: concatenation fragments of
               // dynamic names ("fault.", ".hits") fail this test.
-              if (lint::IsDottedMetricName(name)) {
+              if (IsDottedMetricName(name)) {
                 out.literals.push_back({*kind, std::move(name),
                                         code[m].line});
               }
@@ -487,4 +376,4 @@ FileSummary Summarize(std::string_view path, std::string_view content,
   return out;
 }
 
-}  // namespace efes::analyze
+}  // namespace efes::lint

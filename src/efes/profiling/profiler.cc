@@ -209,7 +209,7 @@ Result<CsvProfile> ProfileCsvFile(const std::string& path,
     std::vector<char> saw_value(width, 0);
     CsvChunk chunk;
     while (!reader.done()) {
-      EFES_RETURN_IF_ERROR(reader.ReadChunk(&chunk));
+      EFES_RETURN_IF_ERROR(reader.ReadChunk(&chunk, &profile.issues));
       profile.row_count += chunk.rows();
       for (size_t r = 0; r < chunk.rows(); ++r) {
         for (size_t c = 0; c < width; ++c) {

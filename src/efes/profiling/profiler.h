@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "efes/common/csv.h"
+#include "efes/common/data_issue.h"
 #include "efes/common/result.h"
 #include "efes/profiling/sketch.h"
 #include "efes/profiling/statistics.h"
@@ -109,6 +110,9 @@ struct CsvProfile {
   std::vector<AttributeStatistics> statistics;
   /// kSketch where the column's sketch coarsened under the budget.
   std::vector<ApproximationMode> modes;
+  /// The rows a recover-mode read repaired, from the first pass only:
+  /// the second pass re-reads the same bytes and would repeat them.
+  std::vector<DataIssue> issues;
 };
 
 /// Profiles the CSV file at `path` in two streaming passes over

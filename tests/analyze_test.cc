@@ -1,34 +1,37 @@
-// Tests for efes_analyze: every whole-program check gets a positive
-// case (the violation is found), a negative case (idiomatic code stays
-// clean), and a suppression case. Fixture sources live in raw strings
-// so analyzing this file itself stays clean. The meta-test at the
-// bottom runs the analyzer — with the checked-in registry manifests —
-// over the real tree and is the executable form of the project rule
-// "the tree ships analyze-clean".
-
-#include "efes/analyze/analyze.h"
+// Tests for efes_lint's whole-program tier: every whole-program check
+// gets a positive case (the violation is found), a negative case
+// (idiomatic code stays clean), and a suppression case. Fixture sources
+// live in raw strings so linting this file itself stays clean. The
+// lint_tree ctest runs both tiers, with the checked-in registry
+// manifests, over the real tree.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "efes/analyze/registry.h"
-#include "efes/common/file_io.h"
+#include "efes/lint/lint.h"
+#include "efes/lint/registry.h"
 #include "efes/lint/sarif.h"
 
-namespace efes::analyze {
+namespace efes::lint {
 namespace {
 
 using File = std::pair<std::string, std::string>;
-using lint::Finding;
 
 std::vector<Finding> Analyze(const std::vector<File>& files) {
-  Analyzer analyzer;
-  return analyzer.RunFiles(files);
+  Linter linter;
+  return linter.Run(files);
+}
+
+/// Analyze with the registry check enabled.
+std::vector<Finding> AnalyzeWithRegistry(const std::vector<File>& files,
+                                         RegistryManifests manifests) {
+  Linter linter;
+  linter.SetRegistry(std::move(manifests));
+  return linter.Run(files);
 }
 
 /// Unsuppressed findings of one check id.
@@ -172,7 +175,7 @@ TEST(LockDisciplineTest, SuppressionWithReasonSilences) {
       Analyze({{"src/efes/x/counter.h", kGuardedHeader},
                {"src/efes/x/counter.cc",
                 "int Counter::Total() const {\n"
-                "  // EFES_ANALYZE_ALLOW(lock-discipline): racy read is "
+                "  // EFES_LINT_ALLOW(lock-discipline): racy read is "
                 "a documented estimate\n"
                 "  return total_;\n"
                 "}\n"}});
@@ -246,7 +249,7 @@ TEST(CancellationTest, RootsOutsideCheckpointDirsAreClean) {
 TEST(CancellationTest, SuppressionWithReasonSilences) {
   auto findings = Analyze(
       {{"src/efes/mapping/m.cc",
-        "// EFES_ANALYZE_ALLOW(cancellation): trivially O(1) body\n"
+        "// EFES_LINT_ALLOW(cancellation): trivially O(1) body\n"
         "Result<int> MappingModule::AssessComplexity(const Scenario& s) "
         "const {\n"
         "  return 1;\n"
@@ -319,34 +322,43 @@ RegistryManifests TestManifests() {
   return m;
 }
 
+/// Uses every registered name of TestManifests (so nothing is stale)
+/// plus the unregistered metric core.run.unknown on line 2.
+constexpr char kUnlistedMetricSource[] =
+    "Status F(MetricsRegistry& m, FlagSet& flags) {\n"
+    "  m.GetCounter(\"core.run.unknown\").Increment(1);\n"
+    "  m.GetCounter(\"core.run.tuples\").Increment(1);\n"
+    "  EFES_RETURN_IF_ERROR(CheckFaultPoint(\"io.read\"));\n"
+    "  flags.AddUint(\"threads\", \"N\", \"workers\", &n);\n"
+    "  return Status::Ok();\n"
+    "}\n";
+
 TEST(RegistryTest, UnlistedCallSiteIsAFinding) {
-  Analyzer analyzer;
-  // Uses every registered name (so nothing is stale) plus one unknown.
-  analyzer.AddFile("src/efes/core/x.cc",
-                   "Status F(MetricsRegistry& m, FlagSet& flags) {\n"
-                   "  m.GetCounter(\"core.run.unknown\").Increment(1);\n"
-                   "  m.GetCounter(\"core.run.tuples\").Increment(1);\n"
-                   "  EFES_RETURN_IF_ERROR(CheckFaultPoint(\"io.read\"));\n"
-                   "  flags.AddUint(\"threads\", \"N\", \"workers\", &n);\n"
-                   "  return Status::Ok();\n"
-                   "}\n");
-  analyzer.SetRegistry(TestManifests());
-  auto hits = FindingsOf(analyzer.Run(), "registry");
+  // The same literal under tests/ or bench/ is no finding: only the
+  // per-file tier sees those paths.
+  auto hits = FindingsOf(
+      AnalyzeWithRegistry({{"src/efes/core/x.cc", kUnlistedMetricSource},
+                           {"tests/x_test.cc", kUnlistedMetricSource},
+                           {"bench/perf_x.cc", kUnlistedMetricSource}},
+                          TestManifests()),
+      "registry");
   ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].file, "src/efes/core/x.cc");
   EXPECT_EQ(hits[0].line, 2);
   EXPECT_NE(hits[0].message.find("core.run.unknown"), std::string::npos);
 }
 
 TEST(RegistryTest, StaleManifestEntryIsAFinding) {
-  Analyzer analyzer;
-  analyzer.AddFile("src/efes/core/x.cc",
-                   "void F(MetricsRegistry& m) {\n"
-                   "  m.GetCounter(\"core.run.tuples\").Increment(1);\n"
-                   "}\n");
   RegistryManifests manifests = TestManifests();
   manifests.metrics.push_back({"core.run.ghost", 7});
-  analyzer.SetRegistry(std::move(manifests));
-  auto hits = FindingsOf(analyzer.Run(), "registry");
+  auto hits = FindingsOf(
+      AnalyzeWithRegistry({{"src/efes/core/x.cc",
+                            "void F(MetricsRegistry& m) {\n"
+                            "  m.GetCounter(\"core.run.tuples\")"
+                            ".Increment(1);\n"
+                            "}\n"}},
+                          std::move(manifests)),
+      "registry");
   ASSERT_EQ(hits.size(), 3u);  // ghost metric + unused fault + flag
   EXPECT_EQ(hits[0].file, "docs/registry/faults.md");
   EXPECT_EQ(hits[1].file, "docs/registry/flags.md");
@@ -355,31 +367,30 @@ TEST(RegistryTest, StaleManifestEntryIsAFinding) {
 }
 
 TEST(RegistryTest, ListedNamesInAllThreeKindsAreClean) {
-  Analyzer analyzer;
-  analyzer.AddFile("src/efes/core/x.cc",
-                   "Status F(MetricsRegistry& m, FlagSet& flags) {\n"
-                   "  m.GetCounter(\"core.run.tuples\").Increment(1);\n"
-                   "  EFES_RETURN_IF_ERROR(CheckFaultPoint(\"io.read\"));\n"
-                   "  flags.AddUint(\"threads\", \"N\", \"workers\", &n);\n"
-                   "  return Status::Ok();\n"
-                   "}\n");
-  analyzer.SetRegistry(TestManifests());
-  EXPECT_TRUE(FindingsOf(analyzer.Run(), "registry").empty());
+  auto findings = AnalyzeWithRegistry(
+      {{"src/efes/core/x.cc",
+        "Status F(MetricsRegistry& m, FlagSet& flags) {\n"
+        "  m.GetCounter(\"core.run.tuples\").Increment(1);\n"
+        "  EFES_RETURN_IF_ERROR(CheckFaultPoint(\"io.read\"));\n"
+        "  flags.AddUint(\"threads\", \"N\", \"workers\", &n);\n"
+        "  return Status::Ok();\n"
+        "}\n"}},
+      TestManifests());
+  EXPECT_TRUE(FindingsOf(findings, "registry").empty());
 }
 
 TEST(RegistryTest, ConcatenatedNamesAreSkipped) {
   // Runtime-built families never match the complete-dotted-literal rule
   // and are documented as (dynamic) manifest lines instead.
-  Analyzer analyzer;
-  analyzer.AddFile("src/efes/core/x.cc",
-                   "void F(MetricsRegistry& m, std::string p) {\n"
-                   "  m.GetCounter(\"fault.\" + p + \".hits\")"
-                   ".Increment(1);\n"
-                   "}\n");
   // Empty manifests: the concatenation fragments must not register as
   // unlisted call sites.
-  analyzer.SetRegistry(RegistryManifests());
-  EXPECT_TRUE(FindingsOf(analyzer.Run(), "registry").empty());
+  auto findings = AnalyzeWithRegistry(
+      {{"src/efes/core/x.cc",
+        "void F(MetricsRegistry& m, std::string p) {\n"
+        "  m.GetCounter(\"fault.\" + p + \".hits\").Increment(1);\n"
+        "}\n"}},
+      RegistryManifests());
+  EXPECT_TRUE(FindingsOf(findings, "registry").empty());
 }
 
 TEST(RegistryTest, WithoutManifestsTheCheckIsSkipped) {
@@ -421,7 +432,7 @@ TEST(BadSuppressionTest, MissingReasonIsAFinding) {
       Analyze({{"src/efes/x/counter.h", kGuardedHeader},
                {"src/efes/x/counter.cc",
                 "int Counter::Total() const {\n"
-                "  // EFES_ANALYZE_ALLOW(lock-discipline)\n"
+                "  // EFES_LINT_ALLOW(lock-discipline)\n"
                 "  return total_;\n"
                 "}\n"}});
   // The reasonless suppression does not silence, and is itself flagged.
@@ -430,10 +441,15 @@ TEST(BadSuppressionTest, MissingReasonIsAFinding) {
 }
 
 TEST(BadSuppressionTest, UnknownCheckIsAFinding) {
+  // One scanner reads the marker for both tiers: an unknown id is one
+  // finding, not one per tier.
   auto findings = Analyze(
       {{"src/efes/core/x.cc",
-        "// EFES_ANALYZE_ALLOW(made-up-check): whatever\nvoid F();\n"}});
-  EXPECT_EQ(FindingsOf(findings, "bad-suppression").size(), 1u);
+        "// EFES_LINT_ALLOW(made-up): whatever\nvoid F();\n"}});
+  auto hits = FindingsOf(findings, "bad-suppression");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_NE(hits[0].message.find("'made-up'"), std::string::npos);
+  EXPECT_EQ(findings.size(), 1u);
 }
 
 // ------------------------------------------------------------- rendering
@@ -444,15 +460,16 @@ TEST(RenderTest, TextCarriesFindingsAndSummary) {
                 "#pragma once\n#include \"efes/serve/s.h\"\n"},
                {"src/efes/serve/s.h", "#pragma once\n"}});
   ASSERT_EQ(findings.size(), 1u);
-  std::string text = analyze::RenderText(findings);
+  std::string text = RenderText(findings);
   EXPECT_NE(text.find("src/efes/common/h.h:2:"), std::string::npos);
   EXPECT_NE(text.find("[layering]"), std::string::npos);
-  EXPECT_NE(text.find("efes_analyze: 1 unsuppressed"), std::string::npos);
+  EXPECT_NE(text.find("efes_lint: 1 unsuppressed"), std::string::npos);
 }
 
 TEST(RenderTest, CheckCatalogIsStable) {
+  // The whole-program ids share the one catalog (and the one
+  // suppression marker) with the per-file checks.
   const auto& ids = AllCheckIds();
-  EXPECT_EQ(ids.size(), 5u);
   for (const char* id : {"lock-discipline", "cancellation", "layering",
                          "registry", "bad-suppression"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
@@ -465,9 +482,9 @@ TEST(SarifTest, RendersValidMinimalDocument) {
                 "#pragma once\n#include \"efes/serve/s.h\"\n"},
                {"src/efes/serve/s.h", "#pragma once\n"}});
   ASSERT_EQ(findings.size(), 1u);
-  std::string sarif = lint::RenderSarif("efes_analyze", findings);
+  std::string sarif = RenderSarif(findings);
   EXPECT_NE(sarif.find("\"version\":\"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"name\":\"efes_analyze\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"name\":\"efes_lint\""), std::string::npos);
   EXPECT_NE(sarif.find("\"ruleId\":\"layering\""), std::string::npos);
   EXPECT_NE(sarif.find("\"startLine\":2"), std::string::npos);
   EXPECT_EQ(sarif.find("\"suppressions\""), std::string::npos);
@@ -476,49 +493,10 @@ TEST(SarifTest, RendersValidMinimalDocument) {
 TEST(SarifTest, SuppressedFindingsAreMarkedInSource) {
   std::vector<Finding> findings = {
       {"a.cc", 3, "layering", "msg", true}};
-  std::string sarif = lint::RenderSarif("efes_analyze", findings);
+  std::string sarif = RenderSarif(findings);
   EXPECT_NE(sarif.find("\"level\":\"note\""), std::string::npos);
   EXPECT_NE(sarif.find("\"kind\":\"inSource\""), std::string::npos);
 }
 
-// -------------------------------------------------------------- meta-test
-
-#ifdef EFES_SOURCE_DIR
-TEST(AnalyzeTreeMetaTest, RealTreeIsAnalyzeClean) {
-  namespace fs = std::filesystem;
-  const fs::path root(EFES_SOURCE_DIR);
-  Analyzer analyzer;
-  size_t file_count = 0;
-  // Same scope as the analyze_tree ctest: the shipped tree, not tests
-  // or bench (their fakes are not estimation roots and their literals
-  // do not belong in the registry).
-  for (const char* dir : {"src", "tools"}) {
-    for (const auto& entry :
-         fs::recursive_directory_iterator(root / dir)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string ext = entry.path().extension().string();
-      if (ext != ".h" && ext != ".hh" && ext != ".hpp" && ext != ".cc" &&
-          ext != ".cpp") {
-        continue;
-      }
-      auto content = ReadFileToString(entry.path().string());
-      ASSERT_TRUE(content.ok()) << entry.path();
-      analyzer.AddFile(entry.path().generic_string(), content.value());
-      ++file_count;
-    }
-  }
-  ASSERT_GT(file_count, 100u);  // sanity: the walk found the tree
-  auto manifests =
-      LoadRegistryDir((root / "docs" / "registry").string());
-  ASSERT_TRUE(manifests.ok()) << manifests.status().ToString();
-  analyzer.SetRegistry(std::move(manifests).value());
-  std::vector<Finding> bad;
-  for (const Finding& f : analyzer.Run()) {
-    if (!f.suppressed) bad.push_back(f);
-  }
-  EXPECT_TRUE(bad.empty()) << analyze::RenderText(bad);
-}
-#endif  // EFES_SOURCE_DIR
-
 }  // namespace
-}  // namespace efes::analyze
+}  // namespace efes::lint

@@ -151,5 +151,40 @@ TEST_F(ProfileScaleTest, UnbudgetedExactProfileCountsEveryUid) {
   EXPECT_EQ(profile->types[7], DataType::kText);
 }
 
+// `efes profile --lenient` repairs what `efes estimate --lenient` does,
+// and says so: the issues come from the first pass only, so a repair is
+// listed once although both passes read the row.
+TEST(ProfileCsvLenientTest, RecoverModeListsEachRepairOnce) {
+  const std::string stem = ::testing::TempDir() + "profile_lenient_test_" +
+                           std::to_string(::getpid());
+  const std::string malformed = stem + "_short.csv";
+  const std::string padded = stem + "_padded.csv";
+  ASSERT_TRUE(WriteFileAtomic(malformed, "a,b\n1,2\n3\n").ok());
+  ASSERT_TRUE(WriteFileAtomic(padded, "a,b\n1,2\n3,\n").ok());
+  CsvReadOptions recover;
+  recover.mode = CsvReadOptions::Mode::kRecover;
+  ProfileOptions options;
+  options.chunk_rows = 1;  // the short row sits in a chunk of its own
+
+  Result<CsvProfile> repaired = ProfileCsvFile(malformed, recover, options);
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+  ASSERT_EQ(repaired->issues.size(), 1u);
+  EXPECT_NE(repaired->issues[0].message.find("short row padded"),
+            std::string::npos)
+      << repaired->issues[0].ToString();
+
+  // The profile itself is the one of the padded file, byte for byte.
+  Result<CsvProfile> reference =
+      ProfileCsvFile(padded, CsvReadOptions{}, options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_TRUE(reference->issues.empty());
+  EXPECT_EQ(Render("in.csv", *repaired), Render("in.csv", *reference));
+
+  // Strict mode still refuses the short row.
+  EXPECT_FALSE(ProfileCsvFile(malformed, CsvReadOptions{}, options).ok());
+  std::remove(malformed.c_str());
+  std::remove(padded.c_str());
+}
+
 }  // namespace
 }  // namespace efes

@@ -433,17 +433,6 @@ TEST(ReportTest, WriteMetricsJsonIsLoadable) {
   EXPECT_NE(text.find("\"a.b.c\":3"), std::string::npos);
 }
 
-TEST(ReportTest, BenchJsonLineGolden) {
-  MetricsRegistry registry;
-  registry.GetCounter("profiling.statistics.cells").Increment(100);
-  std::string line =
-      BenchJsonLine("perf_test", 12.5, 4, registry.Snapshot());
-  EXPECT_EQ(line,
-            "{\"bench\":\"perf_test\",\"wall_ms\":12.5,\"threads\":4,"
-            "\"counters\":{\"profiling.statistics.cells\":100}}");
-  EXPECT_TRUE(JsonChecker(line).Valid());
-}
-
 TEST(ReportTest, HistogramUnitsReachTextJsonAndBenchOutput) {
   MetricsRegistry registry;
   registry.GetHistogram("parallel.pool.worker_items", {1, 4, 16},
@@ -470,14 +459,6 @@ TEST(ReportTest, HistogramUnitsReachTextJsonAndBenchOutput) {
   EXPECT_NE(text.find("\"engine.run.ms\":{\"unit\":\"ms\""),
             std::string::npos)
       << text;
-
-  const std::string line = BenchJsonLine("perf_test", 1.0, 1, snapshot);
-  EXPECT_TRUE(JsonChecker(line).Valid()) << line;
-  EXPECT_NE(line.find("\"parallel.pool.worker_items.p50_count\""),
-            std::string::npos)
-      << line;
-  EXPECT_EQ(line.find("worker_items.p50_ms"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"engine.run.ms.p95_ms\""), std::string::npos) << line;
 }
 
 TEST(InstrumentationTest, PoolWorkerItemsHistogramCountsItems) {

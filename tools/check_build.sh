@@ -6,17 +6,17 @@
 # configuration with -DEFES_TSAN=ON (-fsanitize=thread) and runs the
 # threaded subset (telemetry, parallel, determinism) under the sanitizer.
 # `--asan` configures with -DEFES_ASAN=ON (-fsanitize=address,undefined)
-# and runs the full suite — the corruption and fault-injection tests are
-# most valuable here, where a parser walking off a buffer actually traps.
+# and -DEFES_WERROR=ON, and runs the full suite — the corruption and
+# fault-injection tests are most valuable here, where a parser walking
+# off a buffer actually traps.
 # `--ubsan` configures with -DEFES_UBSAN=ON (undefined + integer checks,
 # -fno-sanitize-recover) and runs the full suite; any UB aborts the test.
 # `--lint` builds only the efes_lint tool and runs it over src/, tools/,
-# tests/, and bench/ with --format=json, failing on any unsuppressed
-# finding.
-# `--analyze` builds efes_lint and efes_analyze and runs both: the
-# linter over the full tree, the whole-program analyzer (lock
+# tests/, and bench/ against docs/registry/ with --format=json: the
+# per-file checks over every file, the whole-program checks (lock
 # discipline, cancellation coverage, layering, registry consistency)
-# over src/ and tools/ against docs/registry/.
+# over the files outside tests/ and bench/. Fails on any unsuppressed
+# finding.
 # `--cache-roundtrip` builds only the CLI, exports the paper example, and
 # estimates it three times — cold with a fresh --cache-dir, warm against
 # the saved snapshot, and once with --no-cache — then diffs the three
@@ -24,8 +24,6 @@
 # `--explain-determinism` builds only the CLI and requires the --explain
 # provenance tree (and the JSON provenance section) to be byte-identical
 # across --threads=1/4/8 and cold/warm/uncached profile-cache states.
-# `--bench-smoke` runs the perf_* benches via tools/run_benches.sh into a
-# scratch file and checks each emitted a valid cold and warm JSON record.
 # `--fuzz-corpus` builds only efes_fuzz and replays the checked-in
 # data/fuzz_corpus.txt manifest across --threads=1/8 and cold/warm/
 # disabled profile-cache states; all five reports must byte-diff equal
@@ -50,10 +48,8 @@
 #   tools/check_build.sh --asan [build-dir]             # default: build-asan
 #   tools/check_build.sh --ubsan [build-dir]            # default: build-ubsan
 #   tools/check_build.sh --lint [build-dir]             # default: build-lint
-#   tools/check_build.sh --analyze [build-dir]          # default: build-lint
 #   tools/check_build.sh --cache-roundtrip [build-dir]  # default: build-cache
 #   tools/check_build.sh --explain-determinism [build-dir]  # default: build-cache
-#   tools/check_build.sh --bench-smoke [build-dir]      # default: build-bench
 #   tools/check_build.sh --fuzz-corpus [build-dir]      # default: build-cache
 #   tools/check_build.sh --serve-soak [build-dir]       # default: build-cache
 #   tools/check_build.sh --profile-scale [build-dir]    # default: build-cache
@@ -74,17 +70,11 @@ elif [[ "${1:-}" == "--ubsan" ]]; then
 elif [[ "${1:-}" == "--lint" ]]; then
   MODE=lint
   shift
-elif [[ "${1:-}" == "--analyze" ]]; then
-  MODE=analyze
-  shift
 elif [[ "${1:-}" == "--cache-roundtrip" ]]; then
   MODE=cache
   shift
 elif [[ "${1:-}" == "--explain-determinism" ]]; then
   MODE=explain
-  shift
-elif [[ "${1:-}" == "--bench-smoke" ]]; then
-  MODE=bench
   shift
 elif [[ "${1:-}" == "--fuzz-corpus" ]]; then
   MODE=fuzz
@@ -108,10 +98,10 @@ if [[ "$MODE" == "tsan" ]]; then
   echo "check_build: OK (EFES_TSAN=ON, threaded tests passed)"
 elif [[ "$MODE" == "asan" ]]; then
   BUILD_DIR="${1:-build-asan}"
-  cmake -B "$BUILD_DIR" -S . -DEFES_ASAN=ON
+  cmake -B "$BUILD_DIR" -S . -DEFES_ASAN=ON -DEFES_WERROR=ON
   cmake --build "$BUILD_DIR" -j "$(nproc)"
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j
-  echo "check_build: OK (EFES_ASAN=ON, all tests passed)"
+  echo "check_build: OK (EFES_ASAN=ON EFES_WERROR=ON, all tests passed)"
 elif [[ "$MODE" == "ubsan" ]]; then
   BUILD_DIR="${1:-build-ubsan}"
   cmake -B "$BUILD_DIR" -S . -DEFES_UBSAN=ON
@@ -122,16 +112,9 @@ elif [[ "$MODE" == "lint" ]]; then
   BUILD_DIR="${1:-build-lint}"
   cmake -B "$BUILD_DIR" -S .
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target efes_lint
-  "$BUILD_DIR/tools/efes_lint" --format=json src tools tests bench
+  "$BUILD_DIR/tools/efes_lint" --format=json --registry=docs/registry \
+    src tools tests bench
   echo "check_build: OK (efes_lint, tree is lint-clean)"
-elif [[ "$MODE" == "analyze" ]]; then
-  BUILD_DIR="${1:-build-lint}"
-  cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j "$(nproc)" --target efes_lint --target efes_analyze
-  "$BUILD_DIR/tools/efes_lint" --format=json src tools tests bench
-  "$BUILD_DIR/tools/efes_analyze" --format=json --registry=docs/registry \
-    src tools
-  echo "check_build: OK (efes_lint + efes_analyze, tree is analyze-clean)"
 elif [[ "$MODE" == "cache" ]]; then
   BUILD_DIR="${1:-build-cache}"
   cmake -B "$BUILD_DIR" -S .
@@ -319,29 +302,6 @@ elif [[ "$MODE" == "serve" ]]; then
     exit 1
   fi
   echo "check_build: OK (serve soak: byte-identical across --threads=1/4/8, no contamination, clean drain)"
-elif [[ "$MODE" == "bench" ]]; then
-  BUILD_DIR="${1:-build-bench}"
-  WORK="$(mktemp -d)"
-  trap 'rm -rf "$WORK"' EXIT
-  BENCH_OUT="$WORK/BENCH_perf.json" tools/run_benches.sh "$BUILD_DIR"
-  COLD="$(grep -c '"cache":"cold"' "$WORK/BENCH_perf.json")"
-  WARM="$(grep -c '"cache":"warm"' "$WORK/BENCH_perf.json")"
-  if [[ "$COLD" -eq 0 || "$COLD" -ne "$WARM" ]]; then
-    echo "check_build: expected matching cold/warm records, got $COLD/$WARM" >&2
-    exit 1
-  fi
-  # Every line must be a self-contained JSON record carrying the
-  # histogram quantile fields.
-  python3 - "$WORK/BENCH_perf.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    for line in f:
-        record = json.loads(line)
-        assert "bench" in record and "wall_ms" in record, record
-        assert any(key.endswith(".p95_ms") for key in record["counters"]), \
-            "no histogram quantile fields in " + record["bench"]
-EOF
-  echo "check_build: OK (bench smoke, $COLD cold + $WARM warm JSON records)"
 elif [[ "$MODE" == "scale" ]]; then
   BUILD_DIR="${1:-build-cache}"
   cmake -B "$BUILD_DIR" -S .

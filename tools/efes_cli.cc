@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "efes/cache/profile_cache.h"
+#include "efes/common/data_issue.h"
 #include "efes/common/deadline.h"
 #include "efes/common/fault.h"
 #include "efes/common/file_io.h"
@@ -319,9 +320,16 @@ int EmitTelemetry() {
   return 0;
 }
 
-/// Loads a scenario honoring --lenient. In lenient mode the survived
-/// defects are listed on stderr (stdout stays clean for the actual
-/// output) and the run proceeds on the salvaged scenario.
+/// Lists the defects a --lenient read survived on stderr (stdout stays
+/// clean for the actual output); nothing when there were none.
+void ReportRecoveredIssues(const std::vector<efes::DataIssue>& issues) {
+  if (issues.empty()) return;
+  std::fprintf(stderr, "lenient load: %zu issue(s) recovered from:\n%s",
+               issues.size(), efes::RenderDataIssues(issues).c_str());
+}
+
+/// Loads a scenario honoring --lenient. In lenient mode the run proceeds
+/// on the salvaged scenario after the survived defects are reported.
 efes::Result<efes::IntegrationScenario> LoadScenarioCli(
     const std::string& directory) {
   efes::LoadOptions options;
@@ -330,12 +338,7 @@ efes::Result<efes::IntegrationScenario> LoadScenarioCli(
   }
   efes::ScenarioLoadReport report;
   auto scenario = efes::LoadScenario(directory, options, &report);
-  if (scenario.ok() && report.degraded) {
-    std::fprintf(stderr,
-                 "lenient load: %zu issue(s) recovered from:\n%s",
-                 report.issues.size(),
-                 efes::RenderDataIssues(report.issues).c_str());
-  }
+  if (scenario.ok()) ReportRecoveredIssues(report.issues);
   return scenario;
 }
 
@@ -599,6 +602,7 @@ int RunProfile(const std::string& path, std::vector<std::string> options) {
   }
   auto profile = efes::ProfileCsvFile(path, csv_options, g_flags.profile);
   if (!profile.ok()) return Fail(profile.status());
+  ReportRecoveredIssues(profile->issues);
   std::printf("# %s: %zu rows, %zu columns\n", path.c_str(),
               profile->row_count, profile->header.size());
   for (size_t c = 0; c < profile->header.size(); ++c) {
